@@ -238,17 +238,6 @@ def pgf_compose_oracle(rho, offspring_pmf) -> CardinalityDistribution:
     return CardinalityDistribution(out, normalize=True, deficit=max(0.0, 1.0 - total))
 
 
-def elementary_symmetric(values) -> np.ndarray:
-    """e_0..e_n of the input values via the Newton/Vieta recurrence."""
-    v = np.asarray(values, dtype=float).reshape(-1)
-    n = v.shape[0]
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for k in range(n):
-        e[1 : k + 2] = e[1 : k + 2] + v[k] * e[: k + 1]
-    return e
-
-
 def map_estimate(rho: CardinalityDistribution) -> int:
     """Most probable count; exact ties resolve toward the smaller count."""
     return int(np.argmax(rho.probs))

@@ -291,16 +291,19 @@ def _innovation_stats(mix: GaussianMixture, H: np.ndarray, R: np.ndarray):
 
 
 def _prefix_esf(u: np.ndarray, K: int) -> np.ndarray:
-    """Rows i = 0..M: elementary symmetric functions e_0..e_K of u[:i]."""
-    M = u.shape[0]
-    T = np.zeros((M + 1, K + 1))
-    row = np.zeros(K + 1)
-    row[0] = 1.0
-    T[0] = row
-    for i in range(M):
-        row[1:] += u[i] * row[:-1]
-        T[i + 1] = row
-    return T
+    """Elementary symmetric functions of prefixes, for each sequence in u.
+
+    u is (..., M); entry [..., i, k] of the (..., M + 1, K + 1) result is
+    e_k(u[..., :i]). Built one degree at a time: e_k(u[:i+1]) = e_k(u[:i]) +
+    u[i] e_{k-1}(u[:i]) is a running sum over i, so each degree is one
+    left-to-right accumulate that rounds exactly as the recursion does.
+    """
+    T = np.zeros((K + 1,) + u.shape[:-1] + (u.shape[-1] + 1,))
+    T[0] = 1.0
+    for k in range(1, K + 1):
+        np.multiply(u, T[k - 1, ..., :-1], out=T[k, ..., 1:])
+        np.add.accumulate(T[k], axis=-1, out=T[k])
+    return np.moveaxis(T, 0, -1).copy()
 
 
 def _esf_leave_one_out(u: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +314,8 @@ def _esf_leave_one_out(u: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     of magnitude. Returns (full (K+1,), leave_one_out (M, K+1)).
     """
     M = u.shape[0]
-    PR = _prefix_esf(u, K)
-    SF = _prefix_esf(u[::-1], K)[::-1]  # SF[i] = esf of u[i:]
+    PR, SF = _prefix_esf(np.stack([u, u[::-1]]), K)
+    SF = SF[::-1]  # SF[i] = esf of u[i:]
     full = PR[M]
     if M == 0:
         return full, np.zeros((0, K + 1))
@@ -438,7 +441,7 @@ def update(
         ratio_det = (e_minus @ Cm) @ rho / den  # (M,)
         w_det = (mix.w[:, None] * q) * (s * p_d * V) * ratio_det[None, :]  # (J, M)
         flat_w = w_det.T.reshape(-1)  # measurement-major
-        if reduction is not None and not reduction.merge_before_truncate:
+        if reduction is not None:
             keep = np.nonzero(flat_w >= reduction.trunc_threshold)[0]
         else:
             keep = np.arange(flat_w.shape[0])
@@ -450,7 +453,7 @@ def update(
     else:
         det_block = (np.empty(0), np.empty((0, mix.dim)), np.empty((0, mix.dim, mix.dim)))
 
-    if reduction is not None and not reduction.merge_before_truncate:
+    if reduction is not None:
         keep_m = w_miss >= reduction.trunc_threshold
     else:
         keep_m = np.ones(J, dtype=bool)

@@ -151,8 +151,6 @@ class ReductionConfig:
     trunc_threshold: float
     merge_threshold: float
     max_components: int
-    # Open choice on ordering; default truncates before merging.
-    merge_before_truncate: bool = False
 
 
 def affine_transform(
@@ -242,74 +240,93 @@ def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, ok
 
 
+# At most this many (pivot, free row) gate distances are formed at once.
+_GATE_BLOCK = 1 << 18
+# Recheck band of a fast gate distance, relative to the absolute terms of its
+# expansion; their rounding stays below ~1e-14 of the same sum.
+_GATE_BAND = 1e-10
+
+
 def _merge_pass(
     w: np.ndarray, m: np.ndarray, P: np.ndarray, U: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """One greedy merge sweep. Pivots are taken in descending-weight order
-    (ties by index); every unused component within the gate of the pivot,
-    measured in the candidate's own covariance metric, is absorbed."""
-    J = w.shape[0]
+    """One greedy merge sweep; outputs come one per pivot, in pivot order.
+
+    Pivots are taken in descending-weight order (ties by index). A pivot p
+    absorbs every free component i with (m_i - m_p)' A_i (m_i - m_p) <= U,
+    A_i being the candidate's own inverse covariance; singular covariances
+    gate nothing. Distances of the free rows to a block of pivots are one
+    GEMM of quadratic-form features, rows [x'Ax, -(A + A')x, diag A, upper
+    (A + A')] against columns [1, x, x*x, x_k x_l]. Pairs within
+    _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U are recomputed with
+    the direct formula, so every gate decision is the direct one. A pivot
+    that gates only itself, and that no earlier pivot of its block gates,
+    is emitted without a Python iteration.
+    """
+    J, d = m.shape
     inv, mergeable = _batched_inverses(P)
-    used = np.zeros(J, dtype=bool)
-
-    if J <= 768:
-        # pairwise gate precomputed in one shot; rows are candidates
-        diff = m[:, None, :] - m[None, :, :]
-        d2 = (np.matmul(diff, inv) * diff).sum(axis=2)
-        gate = (d2 <= U) & mergeable[:, None]
-        # components that neither absorb nor get absorbed pass through as-is
-        off_diag = gate & ~np.eye(J, dtype=bool)
-        interacting = off_diag.any(axis=0) | off_diag.any(axis=1)
-        used[:] = ~interacting
-
-        def candidates(pivot: int) -> np.ndarray:
-            return np.nonzero(gate[:, pivot] & ~used)[0]
-
-    else:
-        # memory fallback: gate one pivot at a time
-        interacting = np.ones(J, dtype=bool)
-
-        def candidates(pivot: int) -> np.ndarray:
-            free = np.nonzero(~used)[0]
-            df = m[free] - m[pivot]
-            dd = (np.matmul(inv[free], df[:, :, None])[:, :, 0] * df).sum(axis=1)
-            return free[(dd <= U) & mergeable[free]]
+    k, l = np.triu_indices(d, 1)
+    S = inv + np.transpose(inv, (0, 2, 1))
+    Sm = np.matmul(S, m[:, :, None])[:, :, 0]
+    rowF = np.concatenate(
+        [0.5 * (Sm * m).sum(axis=1, keepdims=True), -Sm, np.diagonal(inv, 0, 1, 2), S[:, k, l]],
+        axis=1,
+    )
+    colF = np.concatenate([np.ones((J, 1)), m, m * m, m[:, k] * m[:, l]], axis=1)
+    colmax = np.abs(colF).max(axis=0)
 
     order = np.lexsort((np.arange(J), -w))
-    out_w, out_m, out_P = [], [], []
+    rows = np.flatnonzero(mergeable)
+    free = np.ones(J, dtype=bool)
+    emitted = np.zeros(J, dtype=bool)
+    out_w, out_m, out_P = w.copy(), m.copy(), P.copy()
     merged_any = False
-    for pivot in order[interacting[order]]:
-        if used[pivot]:
-            continue
-        take = candidates(pivot)
-        if not mergeable[pivot]:  # own distance is 0 but covariance is singular
-            take = np.sort(np.concatenate(([pivot], take)))
-        used[take] = True
-        if take.shape[0] == 1:
-            j = take[0]
-            out_w.append(w[j])
-            out_m.append(m[j])
-            out_P.append(P[j])
-            continue
-        merged_any = True
-        ws = w[take]
-        tot = float(np.cumsum(ws)[-1])
-        mbar = ws @ m[take] / tot
-        dev = mbar - m[take]
-        Pbar = (
-            ws[:, None, None] * (P[take] + dev[:, :, None] * dev[:, None, :])
-        ).sum(axis=0) / tot
-        Pbar = 0.5 * (Pbar + Pbar.T)
-        out_w.append(tot)
-        out_m.append(mbar)
-        out_P.append(Pbar)
-    passthrough = ~interacting
-    return (
-        np.concatenate([w[passthrough], np.asarray(out_w, dtype=float)]),
-        np.concatenate([m[passthrough], np.stack(out_m) if out_m else m[:0]]),
-        np.concatenate([P[passthrough], np.stack(out_P) if out_P else P[:0]]),
-        merged_any,
-    )
+    queue = order
+    while queue.shape[0]:
+        rows = rows[free[rows]]
+        piv, queue = np.split(queue, [max(1, _GATE_BLOCK // max(rows.shape[0], 1))])
+        R = rowF[rows]
+        d2 = colF[piv] @ R.T  # (pivots, free rows)
+        band = _GATE_BAND * (1.0 + np.abs(R) @ colmax)
+        gate = d2 <= U - band
+        near = ~(d2 > U + band)  # NaN counts as near
+        if np.count_nonzero(near) > np.count_nonzero(gate):
+            c, r = np.nonzero(near & ~gate)
+            diff = m[rows[r]] - m[piv[c]]
+            gate[c, r] = (np.matmul(diff[:, None, :], inv[rows[r]])[:, 0, :] * diff).sum(axis=1) <= U
+
+        own = np.searchsorted(rows, piv)  # the row of each mergeable pivot
+        cols = np.flatnonzero(mergeable[piv])
+        self_hit = np.zeros(piv.shape[0], dtype=bool)
+        self_hit[cols] = gate[cols, own[cols]]
+        trivial = np.count_nonzero(gate, axis=1) == self_hit
+        earlier = np.arange(piv.shape[0])[:, None] < cols
+        trivial[cols] &= ~(gate[:, own[cols]] & earlier).any(axis=0)
+        free[piv[trivial]] = False
+        emitted[piv[trivial]] = True
+        for c in np.flatnonzero(~trivial):
+            p = piv[c]
+            if not free[p]:
+                continue
+            take = rows[gate[c] & free[rows]]
+            if not self_hit[c]:
+                take = np.sort(np.concatenate(([p], take)))
+            free[take] = False
+            emitted[p] = True
+            if take.shape[0] == 1:
+                continue
+            merged_any = True
+            ws = w[take]
+            tot = float(np.cumsum(ws)[-1])
+            mbar = ws @ m[take] / tot
+            dev = mbar - m[take]
+            Pbar = (
+                ws[:, None, None] * (P[take] + dev[:, :, None] * dev[:, None, :])
+            ).sum(axis=0) / tot
+            out_w[p], out_m[p], out_P[p] = tot, mbar, 0.5 * (Pbar + Pbar.T)
+        queue = queue[free[queue]]
+    sel = order[emitted[order]]
+    return out_w[sel], out_m[sel], out_P[sel], merged_any
 
 
 def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixture:
@@ -317,31 +334,19 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
 
     Components with weight < trunc_threshold are removed; survivors are merged
     greedily by descending weight using moment matching (weight conserved
-    exactly); the max_components heaviest results are kept. Merge sweeps repeat
-    until none fires, which makes the operation idempotent even when
-    moment-matched covariances widen enough to gate further pairs. With
-    merge_before_truncate the first two stages swap.
+    exactly), with the gate of `_merge_pass`: one blocked GEMM of distances
+    for every mixture size, and an exact recheck of the pairs within its
+    rounding band of merge_threshold. Merge sweeps repeat until none fires,
+    which makes the operation idempotent even when moment-matched covariances
+    widen enough to gate further pairs. The max_components heaviest results
+    are kept.
     """
-    w, m, P = mix.w, mix.m, mix.P
-
-    def truncate(w, m, P):
-        keep = w >= cfg.trunc_threshold
-        return w[keep], m[keep], P[keep]
-
-    def merge(w, m, P):
-        while w.shape[0] > 1:
-            w, m, P, merged_any = _merge_pass(w, m, P, cfg.merge_threshold)
-            if not merged_any:
-                break
-        return w, m, P
-
-    if cfg.merge_before_truncate:
-        w, m, P = merge(w, m, P)
-        w, m, P = truncate(w, m, P)
-        # already sorted by merge emission; enforce weight order for pruning
-    else:
-        w, m, P = truncate(w, m, P)
-        w, m, P = merge(w, m, P)
+    keep = mix.w >= cfg.trunc_threshold
+    w, m, P = mix.w[keep], mix.m[keep], mix.P[keep]
+    while w.shape[0] > 1:
+        w, m, P, merged_any = _merge_pass(w, m, P, cfg.merge_threshold)
+        if not merged_any:
+            break
 
     order = np.lexsort((np.arange(w.shape[0]), -w))
     w, m, P = w[order], m[order], P[order]

@@ -6,7 +6,6 @@ arithmetic, and polynomial composition is checked against repeated
 np.convolve.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from spawncphd.cardinality import (
     CardinalityDistribution,
     binomial_thin,
     convolve_counts,
-    elementary_symmetric,
     map_estimate,
     partial_bell,
     pgf_compose_oracle,
@@ -244,29 +242,7 @@ class TestPredictCardinality:
         np.testing.assert_allclose(out.probs, ref / ref.sum(), rtol=1e-13)
 
 
-# ---------------------------------------------------------------- esf, MAP
-
-
-class TestElementarySymmetric:
-    def test_hand_values(self):
-        np.testing.assert_array_equal(
-            elementary_symmetric(np.array([1.0, 2.0, 3.0])), [1.0, 6.0, 11.0, 6.0]
-        )
-
-    def test_empty(self):
-        np.testing.assert_array_equal(elementary_symmetric(np.array([])), [1.0])
-
-    def test_matches_bruteforce_subsets(self):
-        rng = np.random.default_rng(127)
-        for _ in range(30):
-            n = int(rng.integers(0, 13))
-            vals = rng.integers(-3, 4, size=n).astype(float)
-            got = elementary_symmetric(vals)
-            for k in range(n + 1):
-                expected = 0.0
-                for subset in itertools.combinations(range(n), k):
-                    expected += float(np.prod(vals[list(subset)])) if subset else 1.0
-                assert got[k] == expected, (vals, k)
+# ---------------------------------------------------------------- MAP
 
 
 class TestCardinalityDistribution:

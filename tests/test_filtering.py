@@ -1,5 +1,6 @@
 """Filter recursion against Kalman oracles and count-bookkeeping identities."""
 
+import itertools
 import logging
 import math
 
@@ -15,6 +16,7 @@ from spawncphd.filtering import (
     MotionModel,
     Rect,
     SensorModel,
+    _prefix_esf,
     extract_estimates,
     predict_birth,
     predict_spawning,
@@ -149,6 +151,48 @@ class TestPredictBirth:
         assert len(pred.intensity) == 1
         ref = stats.poisson.pmf(np.arange(13), 0.025)
         np.testing.assert_allclose(pred.cardinality.probs, ref / ref.sum(), rtol=1e-10)
+
+
+class TestPrefixESF:
+    """The last row of the prefix table is e_0..e_n of the whole input."""
+
+    def test_hand_values(self):
+        v = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(_prefix_esf(v, len(v))[-1], [1.0, 6.0, 11.0, 6.0])
+
+    def test_empty(self):
+        np.testing.assert_array_equal(_prefix_esf(np.array([]), 0)[-1], [1.0])
+
+    def test_matches_bruteforce_subsets(self):
+        rng = np.random.default_rng(127)
+        for _ in range(30):
+            n = int(rng.integers(0, 13))
+            vals = rng.integers(-3, 4, size=n).astype(float)
+            got = _prefix_esf(vals, n)[-1]
+            for k in range(n + 1):
+                expected = 0.0
+                for subset in itertools.combinations(range(n), k):
+                    expected += float(np.prod(vals[list(subset)])) if subset else 1.0
+                assert got[k] == expected, (vals, k)
+
+    def test_bitwise_equal_to_row_recursion(self):
+        # One row per prefix, updated in place: the table's defining loop.
+        def rows(u, K):
+            T = np.zeros((u.shape[0] + 1, K + 1))
+            row = np.zeros(K + 1)
+            row[0] = 1.0
+            T[0] = row
+            for i in range(u.shape[0]):
+                row[1:] += u[i] * row[:-1]
+                T[i + 1] = row
+            return T
+
+        rng = np.random.default_rng(131)
+        for M, K in [(0, 0), (3, 3), (54, 20), (54, 54), (2000, 20)]:
+            for u in (rng.uniform(0.0, 3.0, M), rng.normal(0.0, 1.0, M)):
+                got = _prefix_esf(np.stack([u, u[::-1]]), K)
+                for g, v in zip(got, (u, u[::-1])):
+                    assert g.tobytes() == rows(v, K).tobytes(), (M, K)
 
 
 class TestUpdate:
