@@ -7,12 +7,15 @@ locations) and `predict_birth` (independent spontaneous appearances), sharing
 the same `update` step.
 
 The update propagates the count distribution jointly with the intensity using
-elementary symmetric functions of the per-measurement association strengths.
-All per-measurement and per-component work is batched; internally every
-association strength and the expected clutter count are rescaled by a common
-positive factor chosen to keep the polynomial terms in floating range. The
-posterior is provably invariant to that factor, which `likelihood_scale`
-exposes for testing.
+elementary symmetric functions (ESF) of the per-measurement association
+strengths. A detection's weight needs only one contraction of its
+leave-one-out ESF, which prefix and suffix tables give as one GEMM with a
+Hankel matrix, without the cancellation of polynomial deflation (see
+`_esf_leave_one_out`). All per-measurement and per-component work is
+batched; internally every association strength and the expected clutter
+count are rescaled by a common positive factor chosen to keep the polynomial
+terms in floating range. The posterior is provably invariant to that factor,
+which `likelihood_scale` exposes for testing.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .gaussian import (
     reduce_mixture,
     transform_mixture,
 )
-from .spawning import SpawnModel, bell_coefficients, spawn_intensity
+from .spawning import SpawnModel, _check_prob, bell_coefficients, spawn_intensity
 
 log = logging.getLogger(__name__)
 
@@ -49,13 +52,6 @@ DEFAULT_REDUCTION = ReductionConfig(
 
 # Relative mass/mean disagreement beyond which the state is flagged.
 _CONSISTENCY_TOL = 0.05
-
-
-def _check_prob(p: float, name: str) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidModelError(f"{name} = {p} outside [0, 1]")
-    return p
 
 
 @dataclass(frozen=True)
@@ -306,25 +302,23 @@ def _prefix_esf(u: np.ndarray, K: int) -> np.ndarray:
     return np.moveaxis(T, 0, -1).copy()
 
 
-def _esf_leave_one_out(u: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """e_0..e_K of all of u, and of u with each single entry removed.
+def _esf_leave_one_out(u: np.ndarray, K: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_K of all of u, and sum_k c_k e_k(u without u_i) for every i.
 
-    Combines prefix and suffix tables by truncated convolution, which avoids
-    the cancellation of polynomial deflation when the entries vary by orders
-    of magnitude. Returns (full (K+1,), leave_one_out (M, K+1)).
+    e_k(u without u_i) = sum_a e_a(u[:i]) e_{k-a}(u[i+1:]), so the contraction
+    with c is sum_a sum_b PR[i, a] c[a + b] SF[i + 1, b]: one GEMM of the
+    prefix table with the Hankel matrix c[a + b] (zero past degree K), then a
+    row-wise dot with the suffix table. No leave-one-out table is formed, and
+    no polynomial is deflated, which would cancel when the entries vary by
+    orders of magnitude; for nonnegative u and c every term is nonnegative.
+    Returns (full (K+1,), contracted (M,)).
     """
     M = u.shape[0]
     PR, SF = _prefix_esf(np.stack([u, u[::-1]]), K)
-    SF = SF[::-1]  # SF[i] = esf of u[i:]
-    full = PR[M]
-    if M == 0:
-        return full, np.zeros((0, K + 1))
     t = np.arange(K + 1)
-    idx = t[:, None] - t[None, :]  # target degree minus prefix degree
-    valid = idx >= 0
-    gathered = np.where(valid[None], SF[1:][:, np.clip(idx, 0, K)], 0.0)
-    minus = np.matmul(gathered, PR[:M, :, None])[:, :, 0]
-    return full, minus
+    deg = t[:, None] + t[None, :]
+    Hc = np.where(deg <= K, c[np.minimum(deg, K)], 0.0)
+    return PR[M], ((PR[:M] @ Hc) * SF[::-1][1:]).sum(axis=1)
 
 
 def update(
@@ -397,7 +391,6 @@ def update(
     u_c = s * lam_c
 
     K_deg = min(M, N)
-    e_full, e_minus = _esf_leave_one_out(u, K_deg)
 
     # Coefficient tables over (order j, count n).
     fact = _factorials(N)
@@ -414,12 +407,19 @@ def update(
         * np.where(valid0, qd_pow[np.clip(nn - jj, 0, N)], 0.0)
         * invw_pow[jj]
     )
-    ups0 = e_full @ C0  # (N+1,)
 
     valid1 = jj <= nn - 1
     perm1 = np.where(valid1, fact[nn] / fact[np.clip(nn - jj - 1, 0, N)], 0.0)
     qd1 = np.where(valid1, qd_pow[np.clip(nn - jj - 1, 0, N)], 0.0)
     C1 = u_c ** (M - jj) * perm1 * qd1 * invw_pow[jj + 1]
+    Cm = (
+        np.where(jj <= M - 1, u_c ** np.clip(M - 1 - jj, 0, None), 0.0)
+        * perm1
+        * qd1
+        * invw_pow[jj + 1]
+    )
+    e_full, loo_c = _esf_leave_one_out(u, K_deg, Cm @ rho)
+    ups0 = e_full @ C0  # (N+1,)
     ups1 = e_full @ C1
 
     den = float(ups0 @ rho)
@@ -431,14 +431,7 @@ def update(
     w_miss = r_miss * qd * mix.w
 
     if M > 0 and p_d > 0.0:
-        in_range = jj <= M - 1
-        Cm = (
-            np.where(in_range, u_c ** np.clip(M - 1 - jj, 0, None), 0.0)
-            * perm1
-            * qd1
-            * invw_pow[jj + 1]
-        )
-        ratio_det = (e_minus @ Cm) @ rho / den  # (M,)
+        ratio_det = loo_c / den  # (M,)
         w_det = (mix.w[:, None] * q) * (s * p_d * V) * ratio_det[None, :]  # (J, M)
         flat_w = w_det.T.reshape(-1)  # measurement-major
         if reduction is not None:

@@ -7,6 +7,7 @@ view used at API boundaries and in tests.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -137,11 +138,6 @@ class GaussianMixture:
             return 0.0
         return float(np.cumsum(self.w)[-1])
 
-    def validate(self) -> None:
-        """Full structural check including eigenvalue floors (not hot-path)."""
-        for j in range(len(self)):
-            _check_cov(self.P[j], f"covariance of component {j}")
-
 
 @dataclass(frozen=True)
 class ReductionConfig:
@@ -247,6 +243,11 @@ _GATE_BLOCK = 1 << 18
 _GATE_BAND = 1e-10
 
 
+@functools.cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(d, 1)
+
+
 def _merge_pass(
     w: np.ndarray, m: np.ndarray, P: np.ndarray, U: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -259,13 +260,19 @@ def _merge_pass(
     GEMM of quadratic-form features, rows [x'Ax, -(A + A')x, diag A, upper
     (A + A')] against columns [1, x, x*x, x_k x_l]. Pairs within
     _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U are recomputed with
-    the direct formula, so every gate decision is the direct one. A pivot
-    that gates only itself, and that no earlier pivot of its block gates,
-    is emitted without a Python iteration.
+    the direct formula, so every gate decision is the direct one.
+
+    The greedy is emitted without a Python iteration per pivot. A pivot of a
+    block is live iff no earlier live pivot of the block gates it; array
+    rounds over the (block pivot, mergeable block pivot) gates settle at
+    least the earliest undecided pivot each. A free row goes to the first
+    live pivot that gates it, and a live pivot always keeps itself. Groups
+    are moment-matched after the last block, weights and covariance terms
+    summed in ascending member order, as the sequential greedy sums them.
     """
     J, d = m.shape
     inv, mergeable = _batched_inverses(P)
-    k, l = np.triu_indices(d, 1)
+    k, l = _upper_pairs(d)
     S = inv + np.transpose(inv, (0, 2, 1))
     Sm = np.matmul(S, m[:, :, None])[:, :, 0]
     rowF = np.concatenate(
@@ -278,9 +285,8 @@ def _merge_pass(
     order = np.lexsort((np.arange(J), -w))
     rows = np.flatnonzero(mergeable)
     free = np.ones(J, dtype=bool)
-    emitted = np.zeros(J, dtype=bool)
-    out_w, out_m, out_P = w.copy(), m.copy(), P.copy()
-    merged_any = False
+    live = np.zeros(J, dtype=bool)
+    owner = np.arange(J)  # the pivot whose group each component joins
     queue = order
     while queue.shape[0]:
         rows = rows[free[rows]]
@@ -295,38 +301,49 @@ def _merge_pass(
             diff = m[rows[r]] - m[piv[c]]
             gate[c, r] = (np.matmul(diff[:, None, :], inv[rows[r]])[:, 0, :] * diff).sum(axis=1) <= U
 
-        own = np.searchsorted(rows, piv)  # the row of each mergeable pivot
-        cols = np.flatnonzero(mergeable[piv])
-        self_hit = np.zeros(piv.shape[0], dtype=bool)
-        self_hit[cols] = gate[cols, own[cols]]
-        trivial = np.count_nonzero(gate, axis=1) == self_hit
-        earlier = np.arange(piv.shape[0])[:, None] < cols
-        trivial[cols] &= ~(gate[:, own[cols]] & earlier).any(axis=0)
-        free[piv[trivial]] = False
-        emitted[piv[trivial]] = True
-        for c in np.flatnonzero(~trivial):
-            p = piv[c]
-            if not free[p]:
-                continue
-            take = rows[gate[c] & free[rows]]
-            if not self_hit[c]:
-                take = np.sort(np.concatenate(([p], take)))
-            free[take] = False
-            emitted[p] = True
-            if take.shape[0] == 1:
-                continue
-            merged_any = True
-            ws = w[take]
-            tot = float(np.cumsum(ws)[-1])
-            mbar = ws @ m[take] / tot
-            dev = mbar - m[take]
-            Pbar = (
-                ws[:, None, None] * (P[take] + dev[:, :, None] * dev[:, None, :])
-            ).sum(axis=0) / tot
-            out_w[p], out_m[p], out_P[p] = tot, mbar, 0.5 * (Pbar + Pbar.T)
+        cols = np.flatnonzero(mergeable[piv])  # block pivots that are free rows
+        G = gate[:, np.searchsorted(rows, piv[cols])] & (np.arange(piv.shape[0])[:, None] < cols)
+        todo = np.flatnonzero(G.any(axis=0))
+        alive = np.ones(piv.shape[0], dtype=bool)
+        pending = np.zeros(piv.shape[0], dtype=bool)
+        pending[cols[todo]] = True
+        while todo.shape[0]:
+            g = G[:, todo]
+            dead = (g & alive[:, None] & ~pending[:, None]).any(axis=0)
+            settled = dead | ~(g & pending[:, None]).any(axis=0)
+            pending[cols[todo[settled]]] = False
+            alive[cols[todo[dead]]] = False
+            todo = todo[~settled]
+
+        lp = piv[alive]
+        gl = gate[alive]
+        hit = gl.any(axis=0)
+        owner[rows[hit]] = lp[gl.argmax(axis=0)[hit]]
+        owner[lp] = lp
+        live[lp] = True
+        free[rows[hit]] = False
+        free[piv] = False
         queue = queue[free[queue]]
-    sel = order[emitted[order]]
-    return out_w[sel], out_m[sel], out_P[sel], merged_any
+
+    size = np.bincount(owner, minlength=J)
+    heads = np.flatnonzero(size > 1)
+    out_w, out_m, out_P = w.copy(), m.copy(), P.copy()
+    if heads.shape[0]:
+        mem = np.flatnonzero(size[owner] > 1)  # ascending member order
+        grp = np.searchsorted(heads, owner[mem])
+        tot = np.zeros(heads.shape[0])
+        np.add.at(tot, grp, w[mem])
+        takes = np.split(mem[np.argsort(grp, kind="stable")], np.cumsum(size[heads])[:-1])
+        for p, t, take in zip(heads, tot, takes):
+            out_m[p] = w[take] @ m[take] / t
+        dev = out_m[owner[mem]] - m[mem]
+        Pbar = np.zeros((heads.shape[0], d, d))
+        np.add.at(Pbar, grp, w[mem][:, None, None] * (P[mem] + dev[:, :, None] * dev[:, None, :]))
+        Pbar /= tot[:, None, None]
+        out_w[heads] = tot
+        out_P[heads] = 0.5 * (Pbar + np.transpose(Pbar, (0, 2, 1)))
+    sel = order[live[order]]
+    return out_w[sel], out_m[sel], out_P[sel], bool(heads.shape[0])
 
 
 def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixture:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spawncphd.cardinality import CardinalityDistribution, predict_cardinality
@@ -16,6 +18,7 @@ from spawncphd.filtering import (
     MotionModel,
     Rect,
     SensorModel,
+    _esf_leave_one_out,
     _prefix_esf,
     extract_estimates,
     predict_birth,
@@ -193,6 +196,46 @@ class TestPrefixESF:
                 got = _prefix_esf(np.stack([u, u[::-1]]), K)
                 for g, v in zip(got, (u, u[::-1])):
                     assert g.tobytes() == rows(v, K).tobytes(), (M, K)
+
+
+def loo_bruteforce(u, K, c):
+    """sum_k c_k e_k(u without u_i), each from its own prefix table."""
+    return np.array([_prefix_esf(np.delete(u, i), K)[-1] @ c for i in range(u.shape[0])])
+
+
+@st.composite
+def esf_inputs(draw):
+    # Entries of 1e-4..1e3 and c of 0 or 1e-3..1 keep every product of up to
+    # 60 factors clear of subnormals, where the brute force and the
+    # contraction would round away different bits.
+    M = draw(st.integers(0, 60))
+    K = draw(st.integers(0, M))
+    u = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 3.0), min_size=M, max_size=M)))
+    coef = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    c = np.array(draw(st.lists(coef, min_size=K + 1, max_size=K + 1)))
+    return u, K, c
+
+
+class TestLeaveOneOutESF:
+    """The contraction equals brute-force leave-one-out ESF dotted with c."""
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 7, 54])
+    def test_matches_bruteforce(self, M):
+        rng = np.random.default_rng(137 + M)
+        u = 10.0 ** rng.uniform(-12.0, 3.0, M)  # entries over 15 decades
+        for K in sorted({0, min(M, 20), M}):
+            c = rng.uniform(0.0, 1.0, K + 1)
+            full, got = _esf_leave_one_out(u, K, c)
+            assert full.tobytes() == _prefix_esf(u, K)[-1].tobytes()
+            assert got.shape == (M,)
+            np.testing.assert_allclose(got, loo_bruteforce(u, K, c), rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(esf_inputs())
+    def test_matches_bruteforce_property(self, args):
+        u, K, c = args
+        _, got = _esf_leave_one_out(u, K, c)
+        np.testing.assert_allclose(got, loo_bruteforce(u, K, c), rtol=1e-12, atol=0.0)
 
 
 class TestUpdate:

@@ -172,3 +172,59 @@ def test_pivot_absorbs_only_its_own_gate():
     np.testing.assert_allclose(om[:, 0], [mbar, 3.0, -5.0], rtol=1e-15)
     np.testing.assert_allclose(oP[:, 0, 0], [spread, 1.0, 1.0], rtol=1e-14)
     assert_same_pass(w, m, P, 4.0)
+
+
+def test_chain_of_single_gates_matches_reference():
+    # A staircase of unit steps, alternately along x and along y. Each
+    # component's covariance is wide (1) towards its predecessor and narrow
+    # (1/16) towards its successor, so in pivot order every pivot gates only
+    # its successor (d2 = 1) and no other component (d2 >= 16). Liveness then
+    # alternates along the chain and takes one array round per link.
+    n = 301
+    steps = np.where((np.arange(n - 1) % 2 == 0)[:, None], [1.0, 0.0], [0.0, 1.0])
+    m = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+    P = np.tile(np.eye(2), (n, 1, 1))
+    P[1::2] = np.diag([1.0, 0.0625])  # predecessor along x, successor along y
+    P[2::2] = np.diag([0.0625, 1.0])
+    P[0] = np.diag([0.0625, 0.0625])
+    w = 1.0 - np.arange(n) / (2.0 * n)  # pivot order is chain order
+    perm = np.random.default_rng(19).permutation(n)
+    w, m, P = w[perm], m[perm], P[perm]
+    inv, _ = _batched_inverses(P)
+    diff = m[:, None, :] - m[None, :, :]
+    d2 = (np.matmul(diff, inv) * diff).sum(axis=2)  # rows are candidates
+    gates = np.argwhere(d2 <= 4.0)
+    gates = perm[gates[gates[:, 0] != gates[:, 1]]]  # as chain positions
+    np.testing.assert_array_equal(np.sort(gates[:, 0]), np.arange(1, n))
+    assert (gates[:, 0] == gates[:, 1] + 1).all()
+    assert_same_pass(w, m, P, 4.0)
+    assert_same_reduce(GaussianMixture(w, m, P), ReductionConfig(0.0, 4.0, 10_000))
+
+
+def test_few_mergeable_rows_under_many_pivots_match_reference():
+    # All but 10 covariances singular: every component is a pivot of one
+    # block, but only 10 are free rows, so the liveness matrix is 5000 x 10.
+    rng = np.random.default_rng(23)
+    mix = clustered(rng, 5000, 40, spread=1.0, pos_std=10.0, vel_std=3.0)
+    P = np.zeros_like(mix.P)
+    wide = rng.choice(5000, size=10, replace=False)
+    P[wide] = mix.P[wide] * 25.0
+    mix = GaussianMixture(mix.w, mix.m, P)
+    got = _merge_pass(mix.w, mix.m, mix.P, 4.0)
+    assert got[3] and got[0].shape[0] < 5000  # some wide rows were absorbed
+    assert_same_pass(mix.w, mix.m, mix.P, 4.0)
+    assert_same_reduce(mix, ReductionConfig(0.0, 4.0, 10_000))
+
+
+def test_live_pivot_keeps_itself_outside_its_own_gate():
+    # With U < 0 no pivot gates itself (d2 = 0). The negative variance of a
+    # puts it inside b's gate (d2 = -4), but a is the earlier pivot: it keeps
+    # itself, and b, which a does not gate (d2 = 4), stays alone too.
+    w = np.array([1.0, 0.5])
+    m = np.array([[0.0], [2.0]])
+    P = np.array([[[-1.0]], [[1.0]]])
+    ow, om, oP, merged_any = _merge_pass(w, m, P, -1.0)
+    assert not merged_any
+    np.testing.assert_array_equal(ow, w)
+    np.testing.assert_array_equal(om, m)
+    np.testing.assert_array_equal(oP, P)
