@@ -10,7 +10,7 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidModelError
 from .filtering import Rect
 from .gaussian import ReductionConfig
 from .sim import ScenarioConfig
@@ -181,7 +181,10 @@ def load_config(path=None) -> ExperimentConfig:
         scenario_kw["region"] = dataclasses.replace(base, **region_kw)
     scenario = ScenarioConfig(**scenario_kw)
     if reduction_kw:
-        top_kw["reduction"] = dataclasses.replace(
-            ExperimentConfig().reduction, **reduction_kw
-        )
+        try:
+            top_kw["reduction"] = dataclasses.replace(
+                ExperimentConfig().reduction, **reduction_kw
+            )
+        except InvalidModelError as exc:
+            raise ConfigError(f"[experiment] {exc}") from None
     return ExperimentConfig(scenario=scenario, **top_kw)

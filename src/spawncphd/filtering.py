@@ -12,10 +12,14 @@ strengths. A detection's weight needs only one contraction of its
 leave-one-out ESF, which prefix and suffix tables give as one GEMM with a
 Hankel matrix, without the cancellation of polynomial deflation (see
 `_esf_leave_one_out`). All per-measurement and per-component work is
-batched; internally every association strength and the expected clutter
-count are rescaled by a common positive factor chosen to keep the polynomial
-terms in floating range. The posterior is provably invariant to that factor,
-which `likelihood_scale` exposes for testing.
+batched over contiguous (component, measurement) tables: innovations are
+filled one measurement coordinate at a time, the Mahalanobis form is summed
+coordinate by coordinate (the bits of numpy's trailing-axis sum for k <= 7
+coordinates), and detection weights are built measurement-major, the order
+the posterior lists them in. Internally every association strength and the
+expected clutter count are rescaled by a common positive factor chosen to
+keep the polynomial terms in floating range. The posterior is provably
+invariant to that factor, which `likelihood_scale` exposes for testing.
 """
 
 from __future__ import annotations
@@ -333,7 +337,9 @@ def update(
     `scan` is an (M, k) array of measurements (or any object with a `.z`
     attribute holding one). `reduction=None` keeps the exact posterior
     mixture. `likelihood_scale` overrides the internal rescaling factor; any
-    positive value yields the same posterior up to rounding.
+    positive value yields the same posterior up to rounding. The quadratic
+    forms round as numpy's trailing-axis sum does for k <= 7 measurement
+    coordinates (pairwise from 8); every configured sensor has k = 2.
     """
     z = _as_scan_array(scan, sensor.H.shape[0])
     M = z.shape[0]
@@ -372,18 +378,23 @@ def update(
         )
         return _checked(post)
 
-    # Per-component innovation statistics and per-measurement densities.
+    # Per-component innovation statistics and per-measurement densities. The
+    # innovations and the quadratic form (nu Sinv) . nu go one measurement
+    # coordinate at a time, left to right, over contiguous (J, M) tables.
     Sinv, Kg, P_upd, norm = _innovation_stats(mix, sensor.H, sensor.R)
     Hm = mix.m @ sensor.H.T
-    if M > 0:
-        nu = z[None, :, :] - Hm[:, None, :]  # (J, M, k)
-        quad = (np.matmul(nu, Sinv) * nu).sum(axis=2)
-        q = np.exp(-0.5 * quad) / norm[:, None]  # (J, M)
-        assoc = p_d * (mix.w @ q) * V  # association strength per measurement
-    else:
-        nu = np.zeros((J, 0, sensor.H.shape[0]))
-        q = np.zeros((J, 0))
-        assoc = np.zeros(0)
+    k = sensor.H.shape[0]
+    nu = np.empty((J, M, k))
+    for c in range(k):
+        np.subtract(z[None, :, c], Hm[:, c, None], out=nu[:, :, c])
+    X = np.matmul(nu, Sinv)
+    q = X[..., 0] * nu[..., 0]  # (J, M): quadratic form, then likelihood
+    for c in range(1, k):
+        q += X[..., c] * nu[..., c]
+    q *= -0.5
+    np.exp(q, out=q)
+    q /= norm[:, None]
+    assoc = p_d * (mix.w @ q) * V  # association strength per measurement
 
     if s is None:
         s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
@@ -432,8 +443,11 @@ def update(
 
     if M > 0 and p_d > 0.0:
         ratio_det = loo_c / den  # (M,)
-        w_det = (mix.w[:, None] * q) * (s * p_d * V) * ratio_det[None, :]  # (J, M)
-        flat_w = w_det.T.reshape(-1)  # measurement-major
+        # Detection weights, measurement-major: row i holds measurement i.
+        flat_w = np.multiply(q.T, mix.w, order="C")  # (M, J)
+        flat_w *= s * p_d * V
+        flat_w *= ratio_det[:, None]
+        flat_w = flat_w.reshape(-1)
         if reduction is not None:
             keep = np.nonzero(flat_w >= reduction.trunc_threshold)[0]
         else:

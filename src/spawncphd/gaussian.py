@@ -148,6 +148,15 @@ class ReductionConfig:
     merge_threshold: float
     max_components: int
 
+    def __post_init__(self) -> None:
+        for name in ("trunc_threshold", "merge_threshold"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise InvalidModelError(f"{name} = {value!r} must be finite and >= 0")
+        n = self.max_components
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise InvalidModelError(f"max_components = {n!r} must be an integer >= 1")
+
 
 def affine_transform(
     c: GaussianComponent,
@@ -268,7 +277,9 @@ def _merge_pass(
     least the earliest undecided pivot each. A free row goes to the first
     live pivot that gates it, and a live pivot always keeps itself. Groups
     are moment-matched after the last block, weights and covariance terms
-    summed in ascending member order, as the sequential greedy sums them.
+    summed in ascending member order, as the sequential greedy sums them:
+    the covariance terms go through one 1-D `np.add.at` on the flattened
+    (groups * d * d) totals, member by member.
     """
     J, d = m.shape
     inv, mergeable = _batched_inverses(P)
@@ -333,13 +344,14 @@ def _merge_pass(
         grp = np.searchsorted(heads, owner[mem])
         tot = np.zeros(heads.shape[0])
         np.add.at(tot, grp, w[mem])
-        takes = np.split(mem[np.argsort(grp, kind="stable")], np.cumsum(size[heads])[:-1])
-        for p, t, take in zip(heads, tot, takes):
-            out_m[p] = w[take] @ m[take] / t
+        srt, ends = mem[np.argsort(grp, kind="stable")], np.cumsum(size[heads]).tolist()
+        for p, t, a, b in zip(heads, tot, [0] + ends[:-1], ends):
+            out_m[p] = w[srt[a:b]] @ m[srt[a:b]] / t
         dev = out_m[owner[mem]] - m[mem]
-        Pbar = np.zeros((heads.shape[0], d, d))
-        np.add.at(Pbar, grp, w[mem][:, None, None] * (P[mem] + dev[:, :, None] * dev[:, None, :]))
-        Pbar /= tot[:, None, None]
+        terms = w[mem][:, None, None] * (P[mem] + dev[:, :, None] * dev[:, None, :])
+        Pbar = np.zeros(heads.shape[0] * d * d)
+        np.add.at(Pbar, (grp[:, None] * (d * d) + np.arange(d * d)).ravel(), terms.ravel())
+        Pbar = Pbar.reshape(-1, d, d) / tot[:, None, None]
         out_w[heads] = tot
         out_P[heads] = 0.5 * (Pbar + np.transpose(Pbar, (0, 2, 1)))
     sel = order[live[order]]

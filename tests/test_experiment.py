@@ -9,6 +9,7 @@ import pytest
 from spawncphd.config import CSV_HEADER, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
+from spawncphd.gaussian import ReductionConfig
 
 EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
 
@@ -82,6 +83,32 @@ class TestLoadConfig:
         ini.write_text("[sensor]\np_d = very\n")
         with pytest.raises(ConfigError):
             load_config(str(ini))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "max_components = 0",
+            "max_components = -3",
+            "trunc_threshold = nan",
+            "trunc_threshold = -5",
+            "trunc_threshold = inf",
+            "merge_threshold = -1.0",
+            "merge_threshold = nan",
+        ],
+    )
+    def test_reduction_out_of_range_rejected(self, tmp_path, line):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[experiment]\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"\[experiment\] {key} = "):
+            load_config(str(ini))
+
+    def test_reduction_boundary_values_load(self, tmp_path):
+        ini = tmp_path / "edge.ini"
+        ini.write_text(
+            "[experiment]\ntrunc_threshold = 0.0\nmerge_threshold = 0.0\nmax_components = 1\n"
+        )
+        assert load_config(str(ini)).reduction == ReductionConfig(0.0, 0.0, 1)
 
     def test_unknown_model_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"

@@ -10,22 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from spawncphd.cardinality import CardinalityDistribution, predict_cardinality
-from spawncphd.errors import ConfigError, NumericalError
+from spawncphd.cardinality import (
+    CardinalityDistribution,
+    _factorials,
+    predict_cardinality,
+)
+from spawncphd.errors import ConfigError, DomainError, NumericalError
 from spawncphd.filtering import (
+    DEFAULT_REDUCTION,
     BirthModel,
     FilterState,
     MotionModel,
     Rect,
     SensorModel,
+    _as_scan_array,
+    _checked,
     _esf_leave_one_out,
+    _innovation_stats,
     _prefix_esf,
     extract_estimates,
     predict_birth,
     predict_spawning,
     update,
 )
-from spawncphd.gaussian import GaussianMixture, ReductionConfig
+from spawncphd.gaussian import GaussianMixture, ReductionConfig, reduce_mixture
 from spawncphd.spawning import (
     BernoulliSpawn,
     PoissonSpawn,
@@ -340,6 +348,189 @@ class TestUpdate:
         with caplog.at_level(logging.WARNING, logger="spawncphd.filtering"):
             update(state, scan, SENSOR, reduction=harsh)
         assert any("consistency" in r.message for r in caplog.records)
+
+
+def reference_update(
+    state: FilterState,
+    scan,
+    sensor: SensorModel,
+    reduction: ReductionConfig | None = DEFAULT_REDUCTION,
+    likelihood_scale: float | None = None,
+) -> FilterState:
+    """The update as first written: innovations broadcast over a trailing
+    axis and summed back, component-major detection weights transposed into
+    measurement order. `update` must match it bit for bit."""
+    z = _as_scan_array(scan, sensor.H.shape[0])
+    M = z.shape[0]
+    p_d, lam_c = sensor.p_d, sensor.clutter_rate
+    if lam_c == 0.0 and M > 0 and p_d < 1.0:
+        raise ConfigError(
+            "zero clutter rate with a nonempty scan requires certain detection"
+        )
+
+    rho = state.cardinality.probs
+    N = state.cardinality.n_max
+    mix = state.intensity
+    J = len(mix)
+    s_w = mix.total_weight
+    qd = 1.0 - p_d
+    V = sensor.fov.area
+
+    if likelihood_scale is not None:
+        s = float(likelihood_scale)
+        if not s > 0.0:
+            raise DomainError(f"likelihood scale {s} must be positive")
+    else:
+        s = None  # resolved once association strengths are known
+
+    if J == 0 or s_w <= 0.0:
+        # No spatial mass: every measurement must be clutter.
+        if M > 0 and lam_c == 0.0:
+            raise NumericalError("measurements received but neither targets nor clutter possible")
+        vals = qd ** np.arange(N + 1) * rho
+        den = float(np.cumsum(vals)[-1]) if vals.size else 0.0
+        if not np.isfinite(den) or den <= 0.0:
+            raise NumericalError("count update normalizer is zero or non-finite")
+        post = FilterState(
+            GaussianMixture.empty(mix.dim if J else sensor.H.shape[1]),
+            CardinalityDistribution(vals, normalize=True),
+        )
+        return _checked(post)
+
+    # Per-component innovation statistics and per-measurement densities.
+    Sinv, Kg, P_upd, norm = _innovation_stats(mix, sensor.H, sensor.R)
+    Hm = mix.m @ sensor.H.T
+    if M > 0:
+        nu = z[None, :, :] - Hm[:, None, :]  # (J, M, k)
+        quad = (np.matmul(nu, Sinv) * nu).sum(axis=2)
+        q = np.exp(-0.5 * quad) / norm[:, None]  # (J, M)
+        assoc = p_d * (mix.w @ q) * V  # association strength per measurement
+    else:
+        nu = np.zeros((J, 0, sensor.H.shape[0]))
+        q = np.zeros((J, 0))
+        assoc = np.zeros(0)
+
+    if s is None:
+        s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
+    u = s * assoc
+    u_c = s * lam_c
+
+    K_deg = min(M, N)
+
+    # Coefficient tables over (order j, count n).
+    fact = _factorials(N)
+    jj = np.arange(K_deg + 1)[:, None]
+    nn = np.arange(N + 1)[None, :]
+    qd_pow = qd ** np.arange(N + 1)
+    invw_pow = (1.0 / s_w) ** np.arange(K_deg + 2)
+
+    valid0 = jj <= nn
+    perm0 = np.where(valid0, fact[nn] / fact[np.clip(nn - jj, 0, N)], 0.0)
+    C0 = (
+        u_c ** (M - jj)
+        * perm0
+        * np.where(valid0, qd_pow[np.clip(nn - jj, 0, N)], 0.0)
+        * invw_pow[jj]
+    )
+
+    valid1 = jj <= nn - 1
+    perm1 = np.where(valid1, fact[nn] / fact[np.clip(nn - jj - 1, 0, N)], 0.0)
+    qd1 = np.where(valid1, qd_pow[np.clip(nn - jj - 1, 0, N)], 0.0)
+    C1 = u_c ** (M - jj) * perm1 * qd1 * invw_pow[jj + 1]
+    Cm = (
+        np.where(jj <= M - 1, u_c ** np.clip(M - 1 - jj, 0, None), 0.0)
+        * perm1
+        * qd1
+        * invw_pow[jj + 1]
+    )
+    e_full, loo_c = _esf_leave_one_out(u, K_deg, Cm @ rho)
+    ups0 = e_full @ C0  # (N+1,)
+    ups1 = e_full @ C1
+
+    den = float(ups0 @ rho)
+    if not np.isfinite(den) or den <= 0.0:
+        raise NumericalError("count update normalizer is zero or non-finite")
+    rho_new = CardinalityDistribution(ups0 * rho, normalize=True)
+
+    r_miss = float(ups1 @ rho) / den
+    w_miss = r_miss * qd * mix.w
+
+    if M > 0 and p_d > 0.0:
+        ratio_det = loo_c / den  # (M,)
+        w_det = (mix.w[:, None] * q) * (s * p_d * V) * ratio_det[None, :]  # (J, M)
+        flat_w = w_det.T.reshape(-1)  # measurement-major
+        if reduction is not None:
+            keep = np.nonzero(flat_w >= reduction.trunc_threshold)[0]
+        else:
+            keep = np.arange(flat_w.shape[0])
+        i_meas, j_comp = keep // J, keep % J
+        m_det = mix.m[j_comp] + np.matmul(
+            Kg[j_comp], nu[j_comp, i_meas][:, :, None]
+        )[:, :, 0]
+        det_block = (flat_w[keep], m_det, P_upd[j_comp])
+    else:
+        det_block = (np.empty(0), np.empty((0, mix.dim)), np.empty((0, mix.dim, mix.dim)))
+
+    if reduction is not None:
+        keep_m = w_miss >= reduction.trunc_threshold
+    else:
+        keep_m = np.ones(J, dtype=bool)
+    posterior = GaussianMixture(
+        np.concatenate([w_miss[keep_m], det_block[0]]),
+        np.concatenate([mix.m[keep_m], det_block[1]]),
+        np.concatenate([mix.P[keep_m], det_block[2]]),
+    )
+    if reduction is not None:
+        posterior = reduce_mixture(posterior, reduction)
+    return _checked(FilterState(posterior, rho_new))
+
+
+def update_scene(J, M, k, p_d, clutter_rate, seed):
+    """A J-component prior, and M measurements of a k-coordinate sensor: one
+    per component near its mean where M allows, the rest uniform clutter."""
+    rng = np.random.default_rng(seed)
+    mix = GaussianMixture(
+        rng.uniform(0.05, 1.0, size=J),
+        np.column_stack([rng.uniform(-900.0, 900.0, size=(J, 2)), rng.normal(0.0, 10.0, size=(J, 2))]),
+        np.stack([np.diag(rng.uniform([40.0, 40.0, 4.0, 4.0], [400.0, 400.0, 40.0, 40.0]))] * J),
+    )
+    state = FilterState(mix, CardinalityDistribution(rng.uniform(0.1, 1.0, size=21), normalize=True))
+    H = np.eye(k, 4)
+    sensor = SensorModel(H, np.diag(rng.uniform(50.0, 150.0, size=k)), p_d, clutter_rate, FOV)
+    n_near = min(M, J)
+    near = mix.m[:n_near] @ H.T + rng.normal(0.0, 10.0, size=(n_near, k))
+    far = rng.uniform(-1000.0, 1000.0, size=(M - n_near, k))
+    return state, rng.permutation(np.concatenate([near, far])), sensor
+
+
+def assert_same_update(state, scan, sensor, reduction):
+    got = update(state, scan, sensor, reduction=reduction)
+    ref = reference_update(state, scan, sensor, reduction=reduction)
+    assert np.array_equal(got.intensity.w, ref.intensity.w)
+    assert np.array_equal(got.intensity.m, ref.intensity.m)
+    assert np.array_equal(got.intensity.P, ref.intensity.P)
+    assert np.array_equal(got.cardinality.probs, ref.cardinality.probs)
+
+
+REDUCTIONS = pytest.mark.parametrize("reduction", [None, DEFAULT_REDUCTION], ids=["exact", "reduced"])
+
+
+class TestUpdateBitIdentity:
+    @REDUCTIONS
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("J", [1, 40])
+    @pytest.mark.parametrize("M", [0, 1, 400])
+    @pytest.mark.parametrize("p_d", [0.9, 1.0])
+    def test_matches_reference(self, reduction, k, J, M, p_d):
+        state, scan, sensor = update_scene(J, M, k, p_d, M + 50.0, seed=J * 1000 + M + k)
+        assert_same_update(state, scan, sensor, reduction)
+
+    @REDUCTIONS
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("J", [1, 40])
+    def test_clutter_free_matches_reference(self, reduction, k, J):
+        state, scan, sensor = update_scene(J, min(J, 8), k, 1.0, 0.0, seed=J + k)
+        assert_same_update(state, scan, sensor, reduction)
 
 
 class TestKalmanEquivalence:

@@ -243,6 +243,30 @@ class TestReduce:
         np.testing.assert_array_equal(out.P, np.transpose(out.P, (0, 2, 1)))
 
 
+class TestReductionConfig:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"max_components": 0}, "max_components"),
+            ({"max_components": 2.5}, "max_components"),
+            ({"trunc_threshold": math.nan}, "trunc_threshold"),
+            ({"trunc_threshold": -5.0}, "trunc_threshold"),
+            ({"merge_threshold": -1.0}, "merge_threshold"),
+            ({"merge_threshold": math.inf}, "merge_threshold"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, field):
+        args = {"trunc_threshold": 1e-5, "merge_threshold": 4.0, "max_components": 100, **kwargs}
+        with pytest.raises(InvalidModelError, match=field):
+            ReductionConfig(**args)
+
+    def test_boundary_values_accepted(self):
+        cfg = ReductionConfig(0.0, 0.0, 1)
+        rng = np.random.default_rng(17)
+        out = reduce_mixture(random_mixture(rng, 6), cfg)
+        assert len(out) == 1
+
+
 class TestMixtureType:
     def test_total_weight_left_to_right(self):
         # Bitwise equal to an explicit sequential accumulation; a pairwise

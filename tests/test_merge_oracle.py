@@ -228,3 +228,28 @@ def test_live_pivot_keeps_itself_outside_its_own_gate():
     np.testing.assert_array_equal(ow, w)
     np.testing.assert_array_equal(om, m)
     np.testing.assert_array_equal(oP, P)
+
+
+def test_singular_members_match_per_matrix_inverse():
+    # A stack with zero, rank-deficient, NaN and underflowing members: every
+    # member must get the bits of its own inverse, and only the unusable ones
+    # are flagged.
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((300, 4, 4))
+    P = A @ np.transpose(A, (0, 2, 1)) + 0.1 * np.eye(4)
+    P[7] = 0.0
+    P[40] = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+    P[41, 1, 2] = np.nan
+    P[42] *= 1e-80  # determinant underflows to 0 but the inverse is finite
+    P[43] = np.diag([4.0, 1.0, 2.0, 0.0])
+    inv, ok = _batched_inverses(P)
+    ref_inv, ref_ok = np.zeros_like(P), np.ones(300, dtype=bool)
+    for j in range(300):
+        try:
+            ref_inv[j] = np.linalg.inv(P[j])
+            ref_ok[j] = np.isfinite(ref_inv[j]).all()
+        except np.linalg.LinAlgError:
+            ref_ok[j] = False
+    assert np.array_equal(inv, ref_inv, equal_nan=True)
+    assert np.array_equal(ok, ref_ok)
+    assert ok[42] and not ok[[7, 40, 41, 43]].any()
