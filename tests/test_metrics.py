@@ -1,14 +1,19 @@
-"""OSPA and Hellinger metrics against brute-force and closed-form oracles."""
+"""OSPA and Hellinger metrics against brute-force, scipy and closed-form oracles."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from spawncphd.cardinality import CardinalityDistribution
 from spawncphd.errors import DomainError
-from spawncphd.metrics import hellinger, ideal_cardinality, ospa
+from spawncphd.metrics import _assign_columns, hellinger, ideal_cardinality, ospa
 
 
 def ospa_bruteforce(X, Y, c):
@@ -28,6 +33,41 @@ def ospa_bruteforce(X, Y, c):
             cost += min(c, float(np.linalg.norm(X[i] - Y[j]))) ** 2
         best = min(best, cost)
     return math.sqrt((best + c * c * (n - m)) / n)
+
+
+def ospa_scipy(X, Y, c):
+    """Order-2 OSPA with scipy's assignment solver, same arithmetic as ``ospa``."""
+    X, Y = np.asarray(X, float), np.asarray(Y, float)
+    m, n = len(X), len(Y)
+    if m == 0 and n == 0:
+        return 0.0
+    if m > n:
+        X, Y, m, n = Y, X, n, m
+    if m == 0:
+        return float(c)
+    diff = X[:, None, :] - Y[None, :, :]
+    D = np.minimum(np.sqrt(np.einsum("mnd,mnd->mn", diff, diff)), c)
+    rows, cols = linear_sum_assignment(D**2)
+    cost = float((D[rows, cols] ** 2).sum())
+    return math.sqrt((cost + c * c * (n - m)) / n)
+
+
+COST_KINDS = ("uniform", "integer", "clipped", "constant")
+
+
+def random_cost(rng, kind, m, n):
+    """An m x n cost matrix of one of four kinds, three of them rich in ties."""
+    if kind == "uniform":
+        return rng.uniform(size=(m, n))
+    if kind == "integer":
+        return rng.integers(0, 3, size=(m, n)).astype(float)
+    if kind == "clipped":
+        diff = rng.uniform(-60, 60, (m, 1, 2)) - rng.uniform(-60, 60, (1, n, 2))
+        return np.minimum(np.sqrt((diff * diff).sum(axis=-1)), 30.0) ** 2
+    cost = np.full((m, n), 5.0)
+    idx = rng.integers(0, m * n, size=int(rng.integers(0, 4)))
+    cost.flat[idx] = rng.uniform(0.0, 1.0, size=len(idx))
+    return cost
 
 
 def random_set(rng, max_size=6, dim=2, scale=60.0):
@@ -82,6 +122,55 @@ class TestOspa:
             ospa(np.empty((0, 2)), np.empty((0, 2)), c=0.0)
         with pytest.raises(DomainError):
             ospa(np.empty((0, 2)), np.empty((0, 2)), c=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["X", "Y"])
+    @pytest.mark.parametrize("other_size", [0, 3])
+    def test_non_finite_point_is_domain_error(self, bad, which, other_size):
+        P = np.array([[1.0, 2.0], [3.0, bad]])
+        Q = np.arange(2.0 * other_size).reshape(other_size, 2)
+        X, Y = (P, Q) if which == "X" else (Q, P)
+        with pytest.raises(DomainError, match=f"set {which} "):
+            ospa(X, Y, c=100.0)
+
+    def test_matches_scipy_reference_bitwise(self):
+        # Small cutoffs against a wide field: most distances saturate at c.
+        rng = np.random.default_rng(337)
+        for _ in range(2000):
+            X, Y = random_set(rng, max_size=9), random_set(rng, max_size=9)
+            c = float(rng.choice([5.0, 20.0, 40.0, rng.uniform(1.0, 150.0)]))
+            assert ospa(X, Y, c) == ospa_scipy(X, Y, c)
+
+
+class TestAssignColumns:
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_matches_scipy_assignment(self, kind):
+        rng = np.random.default_rng(401 + COST_KINDS.index(kind))
+        for _ in range(3000):
+            m = int(rng.integers(1, 13))
+            n = int(rng.integers(m, 13))
+            cost = random_cost(rng, kind, m, n)
+            rows, cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, np.arange(m))
+            assert np.array_equal(np.array(_assign_columns(cost)), cols), cost
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import sys, spawncphd.cli, spawncphd.experiment\n"
+        "bad = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not bad, bad\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestHellinger:
