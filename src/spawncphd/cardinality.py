@@ -113,10 +113,6 @@ class BellCoefficients:
     def offspring_pmf(self) -> np.ndarray:
         return self.b / _factorials(self.n_max)
 
-    def mean_offspring(self) -> float:
-        pmf = self.offspring_pmf()
-        return float(np.arange(pmf.shape[0]) @ pmf)
-
 
 def poisson_pmf(rate: float, n_max: int) -> np.ndarray:
     """Poisson pmf on 0..n_max, unnormalized (mass beyond n_max is dropped)."""

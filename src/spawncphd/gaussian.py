@@ -1,8 +1,9 @@
-"""Gaussian component and mixture algebra for intensity functions.
+"""Gaussian mixture algebra for intensity functions.
 
 A mixture is stored as stacked arrays (weights, means, covariances) so the
-filter recursion can stay vectorized; `GaussianComponent` is the per-component
-view used at API boundaries and in tests.
+filter recursion can stay vectorized: `transform_mixture` pushes all
+components through one affine map, and `reduce_mixture` truncates, merges and
+caps them.
 """
 
 from __future__ import annotations
@@ -13,25 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidModelError, NumericalError
+from .errors import InvalidModelError
 
 log = logging.getLogger(__name__)
-
-# Relative tolerances for structural checks on covariance matrices.
-_SYM_RTOL = 1e-9
-_EIG_RTOL = 1e-9
-
-
-def _check_cov(P: np.ndarray, what: str) -> None:
-    scale = max(float(np.abs(P).max()), 1.0)
-    if float(np.abs(P - P.T).max()) > _SYM_RTOL * scale:
-        raise InvalidModelError(f"{what} is not symmetric within {_SYM_RTOL} relative")
-    eig = np.linalg.eigvalsh(0.5 * (P + P.T))
-    floor = -_EIG_RTOL * max(float(np.trace(P)), 0.0)
-    if eig.min() < floor:
-        raise InvalidModelError(
-            f"{what} has negative eigenvalue {eig.min():.3e} below tolerance"
-        )
 
 
 def _require_psd(Q: np.ndarray, what: str) -> np.ndarray:
@@ -44,28 +29,6 @@ def _require_psd(Q: np.ndarray, what: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise InvalidModelError(f"{what} is not positive semidefinite") from None
     return Qs
-
-
-@dataclass
-class GaussianComponent:
-    """One weighted Gaussian term of an intensity function."""
-
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weight = float(self.weight)
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.weight < 0.0:
-            raise InvalidModelError(f"component weight {self.weight} is negative")
-        d = self.mean.shape[0]
-        if self.cov.shape != (d, d):
-            raise InvalidModelError(
-                f"covariance shape {self.cov.shape} does not match state dim {d}"
-            )
-        _check_cov(self.cov, "component covariance")
 
 
 class GaussianMixture:
@@ -97,17 +60,6 @@ class GaussianMixture:
         return cls(np.empty(0), np.empty((0, dim)), np.empty((0, dim, dim)))
 
     @classmethod
-    def from_components(cls, comps) -> "GaussianMixture":
-        comps = list(comps)
-        if not comps:
-            raise InvalidModelError("from_components needs at least one component; use empty()")
-        return cls(
-            np.array([c.weight for c in comps]),
-            np.stack([c.mean for c in comps]),
-            np.stack([c.cov for c in comps]),
-        )
-
-    @classmethod
     def concat(cls, mixtures) -> "GaussianMixture":
         """Stack mixtures of a common state dimension, preserving order."""
         mixtures = list(mixtures)
@@ -121,9 +73,6 @@ class GaussianMixture:
             np.concatenate([mx.m for mx in mixtures]),
             np.concatenate([mx.P for mx in mixtures]),
         )
-
-    def components(self) -> list[GaussianComponent]:
-        return [GaussianComponent(self.w[j], self.m[j], self.P[j]) for j in range(len(self))]
 
     def __len__(self) -> int:
         return self.w.shape[0]
@@ -158,24 +107,6 @@ class ReductionConfig:
             raise InvalidModelError(f"max_components = {n!r} must be an integer >= 1")
 
 
-def affine_transform(
-    c: GaussianComponent,
-    F: np.ndarray,
-    d: np.ndarray,
-    Q: np.ndarray,
-    scale: float,
-) -> GaussianComponent:
-    """Push a component through x -> F x + d with additive PSD noise Q,
-    scaling its weight."""
-    F = np.asarray(F, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    Qs = _require_psd(Q, "process noise covariance")
-    mean = F @ c.mean + d
-    cov = F @ c.cov @ F.T + Qs
-    cov = 0.5 * (cov + cov.T)
-    return GaussianComponent(scale * c.weight, mean, cov)
-
-
 def transform_mixture(
     mix: GaussianMixture,
     F: np.ndarray,
@@ -183,7 +114,8 @@ def transform_mixture(
     Q: np.ndarray,
     scale: float,
 ) -> GaussianMixture:
-    """Vectorized affine_transform over every component of a mixture."""
+    """Push every component through x -> F x + d with additive PSD noise Q,
+    scaling its weight."""
     F = np.asarray(F, dtype=float)
     d = np.asarray(d, dtype=float).reshape(-1)
     Qs = _require_psd(Q, "process noise covariance")
@@ -193,28 +125,6 @@ def transform_mixture(
     P = np.matmul(np.matmul(F, mix.P), F.T) + Qs
     P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
     return GaussianMixture(scale * mix.w, m, P)
-
-
-def eval_density(
-    c: GaussianComponent, z: np.ndarray, H: np.ndarray, R: np.ndarray
-) -> float:
-    """Predicted-measurement density N(z; H m, H P H^T + R) of one component."""
-    H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    S = H @ c.cov @ H.T + R
-    S = 0.5 * (S + S.T)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            f"singular innovation covariance for component at mean {c.mean.tolist()}"
-        ) from None
-    nu = z - H @ c.mean
-    u = np.linalg.solve(L, nu)
-    k = z.shape[0]
-    log_det = 2.0 * float(np.log(np.diag(L)).sum())
-    return float(np.exp(-0.5 * (u @ u + log_det + k * np.log(2.0 * np.pi))))
 
 
 def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

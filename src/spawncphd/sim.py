@@ -19,13 +19,7 @@ from .cardinality import CardinalityDistribution
 from .errors import ConfigError, DomainError
 from .filtering import BirthModel, MotionModel, Rect, SensorModel
 from .gaussian import GaussianMixture
-from .spawning import (
-    BernoulliSpawn,
-    PoissonSpawn,
-    SpawnModel,
-    SpawnSpatialModel,
-    ZeroInflatedPoissonSpawn,
-)
+from .spawning import SpawnModel, SpawnSpatialModel
 
 logger = logging.getLogger(__name__)
 
@@ -260,26 +254,18 @@ def mc_branching_oracle(
     """Empirical one-step count prediction by direct simulation.
 
     Draws a parent count from the prior, thins it by survival, adds the
-    model's offspring, and histograms the totals. Samples beyond n_max are
-    discarded so the histogram estimates the count law conditioned on
-    n <= n_max — the same convention the analytic route's truncate-and-
-    renormalize applies. This is an independent check on that prediction.
+    daughters that the model's own `sample` draws for those parents, and
+    histograms the totals. Samples beyond n_max are discarded so the
+    histogram estimates the count law conditioned on n <= n_max — the same
+    convention the analytic route's truncate-and-renormalize applies. This is
+    an independent check on that prediction.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
     n_max = rho.n_max
     parents = rng.choice(n_max + 1, size=n_samples, p=rho.probs)
     survivors = rng.binomial(parents, p_s)
-    if isinstance(model, BernoulliSpawn):
-        kids = rng.binomial(parents, model.prob)
-    elif isinstance(model, PoissonSpawn):
-        kids = rng.poisson(model.rate * parents)
-    elif isinstance(model, ZeroInflatedPoissonSpawn):
-        active = rng.binomial(parents, model.prob)
-        kids = rng.poisson(model.rate * active)
-    else:
-        raise DomainError(f"unknown spawn model {type(model).__name__}")
-    totals = survivors + kids
+    totals = survivors + model.sample(rng, parents)
     keep = totals <= n_max
     if not np.any(keep):
         raise DomainError(f"every sampled total exceeded n_max = {n_max}")

@@ -8,8 +8,11 @@ kernel describing where a daughter appears relative to its parent:
 * zero-inflated Poisson: with probability `prob` the parent spawns a
   Poisson(`rate`) brood, otherwise nothing.
 
-`bell_coefficients` folds survival (probability p_s) and spawning into the
-factorial-scaled coefficients consumed by cardinality prediction;
+Each law is one class that gives its expected daughters per parent
+(`alpha`), its daughter-count pmf on 0..n_max (`daughter_pmf`) and a sampler
+of the daughters of an array of parent counts (`sample`).
+`bell_coefficients` composes any law's pmf with survival (probability p_s)
+into the factorial-scaled coefficients consumed by cardinality prediction;
 `spawn_intensity` produces the spawned part of the predicted intensity.
 """
 
@@ -22,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .cardinality import BellCoefficients, _factorials
+from .cardinality import BellCoefficients, _factorials, poisson_pmf
 from .errors import InvalidModelError
 from .gaussian import GaussianMixture, _require_psd
 
@@ -106,6 +109,20 @@ class BernoulliSpawn:
     def __post_init__(self) -> None:
         self.prob = _check_prob(self.prob, "spawn probability")
 
+    @property
+    def alpha(self) -> float:
+        return self.prob
+
+    def daughter_pmf(self, n_max: int) -> np.ndarray:
+        d = np.zeros(n_max + 1)
+        d[0] = 1.0 - self.prob
+        if n_max >= 1:
+            d[1] = self.prob
+        return d
+
+    def sample(self, rng: np.random.Generator, parents: np.ndarray) -> np.ndarray:
+        return rng.binomial(parents, self.prob)
+
 
 @dataclass(eq=False)
 class PoissonSpawn:
@@ -116,6 +133,16 @@ class PoissonSpawn:
 
     def __post_init__(self) -> None:
         self.rate = _check_rate(self.rate, "spawn rate")
+
+    @property
+    def alpha(self) -> float:
+        return self.rate
+
+    def daughter_pmf(self, n_max: int) -> np.ndarray:
+        return poisson_pmf(self.rate, n_max)
+
+    def sample(self, rng: np.random.Generator, parents: np.ndarray) -> np.ndarray:
+        return rng.poisson(self.rate * parents)
 
 
 @dataclass(eq=False)
@@ -130,19 +157,27 @@ class ZeroInflatedPoissonSpawn:
         self.prob = _check_prob(self.prob, "spawn activation probability")
         self.rate = _check_rate(self.rate, "spawn rate")
 
+    @property
+    def alpha(self) -> float:
+        return self.prob * self.rate
+
+    def daughter_pmf(self, n_max: int) -> np.ndarray:
+        # The activation probability multiplies in front, so prob=1 gives the
+        # Poisson pmf bit for bit.
+        d = self.prob * poisson_pmf(self.rate, n_max)
+        d[0] += 1.0 - self.prob
+        return d
+
+    def sample(self, rng: np.random.Generator, parents: np.ndarray) -> np.ndarray:
+        return rng.poisson(self.rate * rng.binomial(parents, self.prob))
+
 
 SpawnModel = Union[BernoulliSpawn, PoissonSpawn, ZeroInflatedPoissonSpawn]
 
 
 def spawn_alpha(model: SpawnModel) -> float:
     """Expected number of daughters per parent per scan."""
-    if isinstance(model, BernoulliSpawn):
-        return model.prob
-    if isinstance(model, PoissonSpawn):
-        return model.rate
-    if isinstance(model, ZeroInflatedPoissonSpawn):
-        return model.prob * model.rate
-    raise InvalidModelError(f"unknown spawn model {type(model).__name__}")
+    return model.alpha
 
 
 def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoefficients:
@@ -155,40 +190,13 @@ def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoeffici
     p_s = _check_prob(p_s, "survival probability")
     if n_max < 0:
         raise InvalidModelError(f"n_max = {n_max} must be nonnegative")
-    b = np.zeros(n_max + 1)
-
-    if isinstance(model, BernoulliSpawn):
-        pb = model.prob
-        b[0] = (1.0 - p_s) * (1.0 - pb)
-        if n_max >= 1:
-            b[1] = p_s * (1.0 - pb) + (1.0 - p_s) * pb
-        if n_max >= 2:
-            b[2] = 2.0 * p_s * pb
-    elif isinstance(model, PoissonSpawn):
-        lam = model.rate
-        eml = math.exp(-lam)
-        b[0] = (1.0 - p_s) * eml
-        for i in range(1, n_max + 1):
-            b[i] = eml * lam ** (i - 1) * ((1.0 - p_s) * lam + i * p_s)
-    elif isinstance(model, ZeroInflatedPoissonSpawn):
-        pb, lam = model.prob, model.rate
-        eml = math.exp(-lam)
-        quiet = 1.0 - pb + pb * eml  # P(no daughters at all)
-        b[0] = (1.0 - p_s) * quiet
-        if n_max >= 1:
-            b[1] = (1.0 - p_s) * pb * eml * lam + p_s * quiet
-        # i >= 2 terms are the Poisson terms scaled by the activation
-        # probability, multiplied in front so prob=1 reproduces them exactly.
-        for i in range(2, n_max + 1):
-            b[i] = pb * (eml * lam ** (i - 1) * ((1.0 - p_s) * lam + i * p_s))
-    else:
-        raise InvalidModelError(f"unknown spawn model {type(model).__name__}")
-
-    pmf_total = float(np.cumsum(b / _factorials(n_max))[-1])
-    tail = max(0.0, 1.0 - pmf_total)
+    d = model.daughter_pmf(n_max)
+    succ = (1.0 - p_s) * d
+    succ[1:] += p_s * d[:-1]
+    tail = max(0.0, 1.0 - float(np.cumsum(succ)[-1]))
     if tail > 1e-12:
         log.debug("offspring coefficients truncated %.3e mass at n_max=%d", tail, n_max)
-    return BellCoefficients(b, tail_mass=tail)
+    return BellCoefficients(succ * _factorials(n_max), tail_mass=tail)
 
 
 def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMixture:
@@ -219,7 +227,3 @@ def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMi
         w.reshape(J * Jb), m.reshape(J * Jb, d), P.reshape(J * Jb, d, d)
     )
 
-
-def mean_total_offspring(model: SpawnModel, p_s: float) -> float:
-    """Expected successors per parent: survival plus expected daughters."""
-    return _check_prob(p_s, "survival probability") + spawn_alpha(model)

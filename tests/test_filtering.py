@@ -350,6 +350,66 @@ class TestUpdate:
         assert any("consistency" in r.message for r in caplog.records)
 
 
+def two_component_scene(k, rng):
+    """Two prior components, one measurement near both, and a k-coordinate
+    sensor. Unlike `update_scene`, the components get distinct full
+    covariances, so their density normalizers differ."""
+    m = np.column_stack([rng.normal(0.0, 30.0, size=(2, 2)), rng.normal(0.0, 5.0, size=(2, 2))])
+    P = np.empty((2, 4, 4))
+    for j in range(2):
+        A = rng.normal(0.0, 1.0, size=(4, 4))
+        P[j] = 20.0 * (A @ A.T) + np.eye(4)
+    mix = GaussianMixture(rng.uniform(0.2, 1.0, size=2), m, P)
+    state = FilterState(mix, CardinalityDistribution.poisson(1.5, 10))
+    sensor = SensorModel(np.eye(k, 4), np.diag(rng.uniform(50.0, 150.0, size=k)), 0.9, 10.0, FOV)
+    z = rng.normal(0.0, 30.0, size=(1, k))
+    return state, z, sensor
+
+
+class TestUpdateDensity:
+    """Detection weights of `update` against an outside Gaussian density.
+
+    With one measurement and `reduction=None` the posterior lists the J miss
+    rows, then detection rows J + i*J + j; two detection weights of the same
+    measurement share every count factor, so their ratio is the ratio of the
+    prior weights times the predicted-measurement densities.
+    """
+
+    @pytest.mark.parametrize("k", [2, 3])  # closed-form and np.linalg.inv innovation inverses
+    def test_detection_weight_ratio_matches_scipy(self, k):
+        rng = np.random.default_rng(21 + k)
+        for _ in range(50):
+            state, z, sensor = two_component_scene(k, rng)
+            post = update(state, z, sensor, reduction=None)
+            mix, H, R = state.intensity, sensor.H, sensor.R
+            dens = [
+                stats.multivariate_normal.pdf(z[0], mean=H @ mix.m[j], cov=H @ mix.P[j] @ H.T + R)
+                for j in range(2)
+            ]
+            ref = mix.w[0] * dens[0] / (mix.w[1] * dens[1])
+            assert post.intensity.w[2] / post.intensity.w[3] == pytest.approx(ref, rel=1e-10)
+
+    def test_detection_weight_ratio_closed_form(self):
+        # Zero state covariance leaves the innovation covariance R = 100 I:
+        # the measurement sits on the first component's mean and one standard
+        # deviation from the second's, so their densities differ by exp(-1/2).
+        m = np.array([[5.0, -3.0, 0.0, 0.0], [15.0, -3.0, 0.0, 0.0]])
+        mix = GaussianMixture(np.array([0.4, 0.8]), m, np.zeros((2, 4, 4)))
+        state = FilterState(mix, CardinalityDistribution.poisson(1.5, 10))
+        sensor = SensorModel.position_sensor(10.0, p_d=0.9, clutter_rate=10.0, fov=FOV)
+        post = update(state, np.array([[5.0, -3.0]]), sensor, reduction=None)
+        ratio = post.intensity.w[2] / post.intensity.w[3]
+        assert ratio == pytest.approx(0.5 * math.exp(0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_singular_innovation_raises(self, k):
+        mix = GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.zeros((1, 4, 4)))
+        state = FilterState(mix, CardinalityDistribution.poisson(1.0, 10))
+        sensor = SensorModel(np.eye(k, 4), np.zeros((k, k)), 0.9, 10.0, FOV)
+        with pytest.raises(NumericalError, match="singular innovation covariance"):
+            update(state, np.zeros((1, k)), sensor, reduction=None)
+
+
 def reference_update(
     state: FilterState,
     scan,

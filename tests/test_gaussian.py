@@ -1,18 +1,14 @@
-"""Gaussian component / mixture algebra against hand-derived and scipy oracles."""
+"""Gaussian mixture algebra against hand-derived and direct-formula oracles."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
 
-from spawncphd.errors import InvalidModelError, NumericalError
+from spawncphd.errors import InvalidModelError
 from spawncphd.gaussian import (
-    GaussianComponent,
     GaussianMixture,
     ReductionConfig,
-    affine_transform,
-    eval_density,
     reduce_mixture,
     transform_mixture,
 )
@@ -37,13 +33,17 @@ def random_mixture(rng, n, dim=4, weight_scale=1.0):
     return GaussianMixture(w, m, P)
 
 
+def one_component(w, m, P):
+    return GaussianMixture(np.array([w]), np.asarray(m, float)[None], np.asarray(P, float)[None])
+
+
 class TestAffineTransform:
     def test_constant_velocity_step_hand_values(self):
         # x' = F x with unit timestep moves position by velocity, nothing else.
-        c = GaussianComponent(0.5, np.array([1.0, 2.0, 3.0, 4.0]), np.eye(4))
-        out = affine_transform(c, CV_F, np.zeros(4), np.zeros((4, 4)), scale=0.99)
-        assert out.weight == pytest.approx(0.495, rel=1e-15)
-        np.testing.assert_array_equal(out.mean, [4.0, 6.0, 3.0, 4.0])
+        c = one_component(0.5, [1.0, 2.0, 3.0, 4.0], np.eye(4))
+        out = transform_mixture(c, CV_F, np.zeros(4), np.zeros((4, 4)), scale=0.99)
+        assert out.w[0] == pytest.approx(0.495, rel=1e-15)
+        np.testing.assert_array_equal(out.m[0], [4.0, 6.0, 3.0, 4.0])
         expected_cov = np.array(
             [
                 [2.0, 0.0, 1.0, 0.0],
@@ -52,79 +52,49 @@ class TestAffineTransform:
                 [0.0, 1.0, 0.0, 1.0],
             ]
         )
-        np.testing.assert_allclose(out.cov, expected_cov, atol=1e-15)
+        np.testing.assert_allclose(out.P[0], expected_cov, atol=1e-15)
 
     def test_offset_and_noise(self):
-        c = GaussianComponent(1.0, np.zeros(4), np.zeros((4, 4)))
+        c = one_component(1.0, np.zeros(4), np.zeros((4, 4)))
         Q = np.diag([4.0, 4.0, 1.0, 1.0])
-        out = affine_transform(c, np.eye(4), np.array([1.0, 1.0, 0.0, 0.0]), Q, 1.0)
-        np.testing.assert_array_equal(out.mean, [1.0, 1.0, 0.0, 0.0])
-        np.testing.assert_allclose(out.cov, Q, atol=0.0)
+        out = transform_mixture(c, np.eye(4), np.array([1.0, 1.0, 0.0, 0.0]), Q, 1.0)
+        np.testing.assert_array_equal(out.m[0], [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_allclose(out.P[0], Q, atol=0.0)
 
     def test_random_cases_match_direct_formula(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             dim = 4
-            c = random_mixture(rng, 1, dim).components()[0]
+            c = random_mixture(rng, 1, dim)
             F = rng.normal(size=(dim, dim))
             d = rng.normal(size=dim)
             A = rng.normal(size=(dim, dim))
             Q = A @ A.T
             s = rng.uniform(0.1, 2.0)
-            out = affine_transform(c, F, d, Q, s)
-            np.testing.assert_allclose(out.weight, s * c.weight, rtol=1e-14)
-            np.testing.assert_allclose(out.mean, F @ c.mean + d, rtol=1e-12)
-            np.testing.assert_allclose(out.cov, F @ c.cov @ F.T + Q, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(out.cov, out.cov.T, atol=0.0)
+            out = transform_mixture(c, F, d, Q, s)
+            np.testing.assert_allclose(out.w[0], s * c.w[0], rtol=1e-14)
+            np.testing.assert_allclose(out.m[0], F @ c.m[0] + d, rtol=1e-12)
+            np.testing.assert_allclose(out.P[0], F @ c.P[0] @ F.T + Q, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(out.P[0], out.P[0].T, atol=0.0)
 
     def test_rejects_non_psd_noise(self):
-        c = GaussianComponent(1.0, np.zeros(4), np.eye(4))
+        c = one_component(1.0, np.zeros(4), np.eye(4))
         bad_Q = np.diag([1.0, 1.0, 1.0, -1.0])
         with pytest.raises(InvalidModelError):
-            affine_transform(c, np.eye(4), np.zeros(4), bad_Q, 1.0)
+            transform_mixture(c, np.eye(4), np.zeros(4), bad_Q, 1.0)
 
     def test_mixture_transform_matches_componentwise(self):
         rng = np.random.default_rng(11)
         mix = random_mixture(rng, 6)
         Q = np.diag([1.0, 1.0, 0.25, 0.25])
         out = transform_mixture(mix, CV_F, np.zeros(4), Q, 0.9)
-        for got, c in zip(out.components(), mix.components()):
-            ref = affine_transform(c, CV_F, np.zeros(4), Q, 0.9)
-            np.testing.assert_allclose(got.weight, ref.weight, rtol=1e-14)
-            np.testing.assert_allclose(got.mean, ref.mean, rtol=1e-13)
-            np.testing.assert_allclose(got.cov, ref.cov, rtol=1e-12, atol=1e-14)
-
-
-class TestEvalDensity:
-    H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    R = 100.0 * np.eye(2)
-
-    def test_peak_value_closed_form(self):
-        # Zero state covariance: innovation covariance is exactly R = 100 I,
-        # so the density at the predicted measurement is 1 / (200 pi).
-        c = GaussianComponent(1.0, np.zeros(4), np.zeros((4, 4)))
-        val = eval_density(c, np.zeros(2), self.H, self.R)
-        assert val == pytest.approx(1.0 / (200.0 * math.pi), rel=1e-13)
-
-    def test_one_sigma_offset_closed_form(self):
-        c = GaussianComponent(1.0, np.zeros(4), np.zeros((4, 4)))
-        val = eval_density(c, np.array([10.0, 0.0]), self.H, self.R)
-        assert val == pytest.approx(math.exp(-0.5) / (200.0 * math.pi), rel=1e-13)
-
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            c = random_mixture(rng, 1).components()[0]
-            z = rng.normal(0.0, 20.0, size=2)
-            S = self.H @ c.cov @ self.H.T + self.R
-            ref = multivariate_normal.pdf(z, mean=self.H @ c.mean, cov=S)
-            val = eval_density(c, z, self.H, self.R)
-            assert val == pytest.approx(ref, rel=1e-10)
-
-    def test_singular_innovation_raises(self):
-        c = GaussianComponent(1.0, np.zeros(4), np.zeros((4, 4)))
-        with pytest.raises(NumericalError):
-            eval_density(c, np.zeros(2), self.H, np.zeros((2, 2)))
+        assert len(out) == len(mix)
+        for j in range(len(mix)):
+            np.testing.assert_allclose(out.w[j], 0.9 * mix.w[j], rtol=1e-14)
+            np.testing.assert_allclose(out.m[j], CV_F @ mix.m[j], rtol=1e-13)
+            np.testing.assert_allclose(
+                out.P[j], CV_F @ mix.P[j] @ CV_F.T + Q, rtol=1e-12, atol=1e-14
+            )
 
 
 class TestReduce:
@@ -293,21 +263,3 @@ class TestMixtureType:
         with pytest.raises(InvalidModelError):
             GaussianMixture(np.array([-0.1]), np.zeros((1, 4)), np.stack([np.eye(4)]))
 
-    def test_component_asymmetric_cov_rejected(self):
-        P = np.eye(4)
-        P[0, 1] = 0.5
-        with pytest.raises(InvalidModelError):
-            GaussianComponent(1.0, np.zeros(4), P)
-
-    def test_component_negative_eigenvalue_rejected(self):
-        P = np.diag([1.0, 1.0, 1.0, -0.5])
-        with pytest.raises(InvalidModelError):
-            GaussianComponent(1.0, np.zeros(4), P)
-
-    def test_roundtrip_components(self):
-        rng = np.random.default_rng(5)
-        mix = random_mixture(rng, 4)
-        back = GaussianMixture.from_components(mix.components())
-        np.testing.assert_array_equal(back.w, mix.w)
-        np.testing.assert_array_equal(back.m, mix.m)
-        np.testing.assert_array_equal(back.P, mix.P)

@@ -16,7 +16,6 @@ from spawncphd.spawning import (
     SpawnSpatialModel,
     ZeroInflatedPoissonSpawn,
     bell_coefficients,
-    mean_total_offspring,
     spawn_alpha,
     spawn_intensity,
     unit_spawn_kernel,
@@ -59,21 +58,29 @@ class TestBellCoefficients:
             b.offspring_pmf(), stats.poisson.pmf(np.arange(21), 0.7), rtol=1e-12
         )
 
+    # n_max 1 cuts Bernoulli's b[2]; n_max 0 leaves only b[0].
     @pytest.mark.parametrize(
-        "model",
+        "model, n_max",
         [
-            BernoulliSpawn(0.01, KERNEL),
-            BernoulliSpawn(0.6, KERNEL),
-            PoissonSpawn(0.025, KERNEL),
-            PoissonSpawn(1.7, KERNEL),
-            ZeroInflatedPoissonSpawn(0.01, 2.5, KERNEL),
-            ZeroInflatedPoissonSpawn(0.35, 0.9, KERNEL),
+            pytest.param(model, n_max, id=f"model{i}" + ("" if n_max == 20 else f"-n_max{n_max}"))
+            for i, model in enumerate(
+                [
+                    BernoulliSpawn(0.01, KERNEL),
+                    BernoulliSpawn(0.6, KERNEL),
+                    PoissonSpawn(0.025, KERNEL),
+                    PoissonSpawn(1.7, KERNEL),
+                    ZeroInflatedPoissonSpawn(0.01, 2.5, KERNEL),
+                    ZeroInflatedPoissonSpawn(0.35, 0.9, KERNEL),
+                ]
+            )
+            for n_max in (20, 1, 0)
         ],
     )
     @pytest.mark.parametrize("p_s", [0.0, 0.4, 0.99, 1.0])
-    def test_offspring_pmf_matches_scipy_composition(self, model, p_s):
-        b = bell_coefficients(model, p_s, 20)
-        ref = successor_pmf(model, p_s, 20)
+    def test_offspring_pmf_matches_scipy_composition(self, model, n_max, p_s):
+        b = bell_coefficients(model, p_s, n_max)
+        ref = successor_pmf(model, p_s, n_max)
+        assert b.n_max == n_max
         np.testing.assert_allclose(b.offspring_pmf(), ref, rtol=1e-12, atol=1e-300)
 
     def test_pmf_sums_to_one_minus_tail(self):
@@ -107,11 +114,47 @@ class TestBellCoefficients:
             (ZeroInflatedPoissonSpawn(0.01, 2.5, KERNEL), 0.025),
         ]:
             assert spawn_alpha(model) == pytest.approx(alpha, rel=1e-15)
-            assert mean_total_offspring(model, 0.99) == pytest.approx(
-                0.99 + alpha, rel=1e-15
-            )
-            b = bell_coefficients(model, 0.99, 20)
-            assert b.mean_offspring() == pytest.approx(0.99 + alpha, rel=1e-10)
+            pmf = bell_coefficients(model, 0.99, 20).offspring_pmf()
+            assert np.arange(21) @ pmf == pytest.approx(0.99 + alpha, rel=1e-10)
+
+
+LAWS = pytest.mark.parametrize(
+    "model",
+    [
+        BernoulliSpawn(0.3, KERNEL),
+        PoissonSpawn(1.7, KERNEL),
+        ZeroInflatedPoissonSpawn(0.35, 0.9, KERNEL),
+        ZeroInflatedPoissonSpawn(0.0, 2.5, KERNEL),
+        ZeroInflatedPoissonSpawn(1.0, 2.5, KERNEL),
+    ],
+    ids=["bernoulli", "poisson", "zip", "zip-prob0", "zip-prob1"],
+)
+
+
+class TestOffspringLaw:
+    """Every law's `alpha`, `daughter_pmf` and `sample` describe one law."""
+
+    @LAWS
+    def test_daughter_pmf_is_a_pmf(self, model):
+        d = model.daughter_pmf(60)
+        assert d.shape == (61,)
+        assert d.min() >= 0.0
+        assert d.sum() == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    @LAWS
+    def test_daughter_pmf_mean_is_alpha(self, model):
+        mean = np.arange(61) @ model.daughter_pmf(60)
+        assert mean == pytest.approx(model.alpha, rel=1e-12, abs=0.0)
+
+    @LAWS
+    def test_sample_mean_matches_alpha(self, model):
+        n = 200_000
+        k = np.arange(61)
+        d = model.daughter_pmf(60)
+        se = np.sqrt(3.0 * (k**2 @ d - (k @ d) ** 2) / n)  # three parents per draw
+        kids = model.sample(np.random.default_rng(31), np.full(n, 3))
+        assert kids.shape == (n,)
+        assert abs(kids.mean() - 3.0 * model.alpha) <= 4.0 * se
 
 
 class TestSpawnIntensity:
