@@ -9,7 +9,6 @@ region). A real comparison uses 50+ runs; five is enough to see the ranking.
 import csv
 import tempfile
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 
@@ -17,15 +16,13 @@ from spawncphd.config import ExperimentConfig
 from spawncphd.experiment import run_experiment, summarize
 
 cfg = ExperimentConfig(n_runs=5, seed=1729)
-out = Path(tempfile.mkdtemp(prefix="spawncphd_demo_"))
 print(f"running {cfg.n_runs} paired runs x {len(cfg.models)} models ...")
-scans_csv = run_experiment(cfg, out)
-summary_csv = summarize(out)
-
 curves: dict = defaultdict(dict)
-with open(summary_csv, newline="") as fh:
-    for row in csv.DictReader(fh):
-        curves[row["model"]][int(row["scan"])] = row
+with tempfile.TemporaryDirectory(prefix="spawncphd_demo_") as out:
+    run_experiment(cfg, out)
+    with open(summarize(out), newline="") as fh:
+        for row in csv.DictReader(fh):
+            curves[row["model"]][int(row["scan"])] = row
 
 n_scans = cfg.scenario.n_scans
 print(f"\n{'model':<10s} {'stable Hellinger':>17s} {'stable OSPA':>12s} {'count hits':>11s}")
@@ -64,4 +61,3 @@ print(
     "\nmisses the count far more often, though its steady-state count law is"
     "\nsmooth. Among the spawning models zip tracks best, poisson worst."
 )
-print(f"\nfull per-scan averages: {summary_csv}")

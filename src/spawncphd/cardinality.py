@@ -6,12 +6,18 @@ random number of successors (survivor plus spawned daughters), using partial
 Bell polynomials of the factorial-scaled offspring coefficients b_i. The
 slower `pgf_compose_oracle` computes the same distribution by truncated
 power-series composition and exists as an independent correctness check.
+
+No other module scales by factorials: `BellCoefficients.from_pmf` scales an
+offspring pmf, and one cached table n!/(n-j)! x^(n-j) serves the branching
+prediction (x = b_0) and the CPHD count update (`count_update_tables`,
+x = 1 - p_d). Counts stop at `MAX_COUNT`, since 171! overflows float64.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,8 +25,12 @@ from .errors import DomainError, InvalidModelError, NumericalError
 
 log = logging.getLogger(__name__)
 
+MAX_COUNT = 170  # 171! overflows float64
+
 
 def _factorials(n: int) -> np.ndarray:
+    if n > MAX_COUNT:
+        raise DomainError(f"n_max = {n} exceeds {MAX_COUNT}: {n}! overflows float64")
     out = np.ones(n + 1)
     if n >= 1:
         out[1:] = np.cumprod(np.arange(1, n + 1, dtype=float))
@@ -110,6 +120,12 @@ class BellCoefficients:
     def n_max(self) -> int:
         return self.b.shape[0] - 1
 
+    @classmethod
+    def from_pmf(cls, pmf: np.ndarray) -> "BellCoefficients":
+        """b[i] = i! * pmf[i]; the mass pmf lacks is the truncated tail."""
+        tail = max(0.0, 1.0 - float(np.cumsum(pmf)[-1]))
+        return cls(pmf * _factorials(pmf.shape[0] - 1), tail_mass=tail)
+
     def offspring_pmf(self) -> np.ndarray:
         return self.b / _factorials(self.n_max)
 
@@ -158,29 +174,32 @@ def partial_bell(n: int, j: int, x) -> float:
     return float(bell_triangle(n, x)[n, j])
 
 
-# The two matrices of the branching prediction depend only on the offspring
-# coefficients and n_max, not on the prior, so they are reused across scans.
-_PREDICT_TABLES: dict = {}
-
-
-def _predict_tables(bv: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (N, bv.tobytes())
-    hit = _PREDICT_TABLES.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=64)
+def _falling_table(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only F[j, n] = n!/(n-j)! and X[j, n] = x^(n-j), rows j = 0..N+1 and
+    columns n = 0..N, both 0 where j > n."""
     fact = _factorials(N)
+    jj, nn = np.ogrid[: N + 2, : N + 1]
+    valid = jj <= nn
+    lag = np.clip(nn - jj, 0, N)
+    F = np.where(valid, fact[nn] / fact[lag], 0.0)
+    X = np.where(valid, (x ** np.arange(N + 1))[lag], 0.0)
+    F.flags.writeable = X.flags.writeable = False
+    return F, X
+
+
+# The two matrices of the branching prediction depend only on the offspring
+# coefficients, not on the prior, so they are reused across scans.
+@lru_cache(maxsize=64)
+def _predict_tables(b_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    bv = np.frombuffer(b_bytes)
+    N = bv.shape[0] - 1
+    F, X = _falling_table(N, float(bv[0]))
     # G[j, m] = m!/(m-j)! * b0^(m-j) for m >= j, so A = G @ rho
-    jj = np.arange(N + 1)[:, None]
-    mm = np.arange(N + 1)[None, :]
-    pow_b0 = bv[0] ** np.arange(N + 1)
-    G = np.where(
-        mm >= jj, fact[mm] / fact[np.clip(mm - jj, 0, N)] * pow_b0[np.clip(mm - jj, 0, N)], 0.0
-    )
+    G = F[: N + 1] * X[: N + 1]
     # lower-triangular Bell values scaled so out = T @ A directly
-    T = bell_triangle(N, bv[1:]) / fact[:, None]
-    if len(_PREDICT_TABLES) > 64:
-        _PREDICT_TABLES.clear()
-    _PREDICT_TABLES[key] = (G, T)
+    T = bell_triangle(N, bv[1:]) / _factorials(N)[:, None]
+    G.flags.writeable = T.flags.writeable = False
     return G, T
 
 
@@ -201,7 +220,7 @@ def predict_cardinality(
         bv = np.concatenate([bv, np.zeros(N + 1 - bv.shape[0])])
     else:
         bv = bv[: N + 1]
-    G, T = _predict_tables(bv, N)
+    G, T = _predict_tables(bv.tobytes())
     out = T @ (G @ rho.probs)
     total = float(np.cumsum(out)[-1])
     deficit = max(0.0, 1.0 - total)
@@ -239,28 +258,23 @@ def map_estimate(rho: CardinalityDistribution) -> int:
     return int(np.argmax(rho.probs))
 
 
-_THIN_TABLES: dict = {}
+@lru_cache(maxsize=64)
+def _thin_table(N: int, p: float) -> np.ndarray:
+    C = _pascal(N)
+    nn, mm = np.ogrid[: N + 1, : N + 1]
+    pn = p ** np.arange(N + 1)
+    qn = (1.0 - p) ** np.arange(N + 1)
+    Th = np.where(mm >= nn, C[mm, nn] * qn[np.clip(mm - nn, 0, N)], 0.0)
+    Th *= pn[:, None]
+    Th.flags.writeable = False
+    return Th
 
 
 def binomial_thin(rho: CardinalityDistribution, p: float) -> CardinalityDistribution:
     """Each of n individuals independently survives with probability p."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"survival probability {p} outside [0, 1]")
-    N = rho.n_max
-    key = (N, float(p))
-    Th = _THIN_TABLES.get(key)
-    if Th is None:
-        C = _pascal(N)
-        nn = np.arange(N + 1)[:, None]
-        mm = np.arange(N + 1)[None, :]
-        pn = p ** np.arange(N + 1)
-        qn = (1.0 - p) ** np.arange(N + 1)
-        Th = np.where(mm >= nn, C[mm, nn] * qn[np.clip(mm - nn, 0, N)], 0.0)
-        Th *= pn[:, None]
-        if len(_THIN_TABLES) > 64:
-            _THIN_TABLES.clear()
-        _THIN_TABLES[key] = Th
-    return CardinalityDistribution(Th @ rho.probs, normalize=True)
+    return CardinalityDistribution(_thin_table(rho.n_max, float(p)) @ rho.probs, normalize=True)
 
 
 def convolve_counts(rho: CardinalityDistribution, pmf) -> CardinalityDistribution:
@@ -271,3 +285,22 @@ def convolve_counts(rho: CardinalityDistribution, pmf) -> CardinalityDistributio
     out = np.convolve(rho.probs, q)[: rho.n_max + 1]
     total = float(np.cumsum(out)[-1])
     return CardinalityDistribution(out, normalize=True, deficit=max(0.0, 1.0 - total))
+
+
+def count_update_tables(N: int, M: int, qd: float, u_c: float, s_w: float) -> tuple:
+    """Tables over (order j <= min(M, N), count n) of the CPHD count update
+    (Vo, Vo & Cantoni, IEEE TSP 55(7), 2007), with F, X the (N, qd) table:
+    C0[j] = u_c^(M-j) F[j] X[j] / s_w^j, C1[j] = u_c^(M-j) F[j+1] X[j+1] /
+    s_w^(j+1), and Cm is C1 with u_c^(M-1-j) in front, 0 for j >= M. M is the
+    measurement count, qd = 1 - p_d, u_c the scaled clutter count and s_w the
+    intensity mass."""
+    K = min(M, N)
+    F, X = _falling_table(N, qd)
+    jj = np.arange(K + 1)[:, None]
+    invw_pow = (1.0 / s_w) ** np.arange(K + 2)
+    C0 = u_c ** (M - jj) * F[: K + 1] * X[: K + 1] * invw_pow[jj]
+    F1, X1 = F[1 : K + 2], X[1 : K + 2]
+    C1 = u_c ** (M - jj) * F1 * X1 * invw_pow[jj + 1]
+    Cm = np.where(jj <= M - 1, u_c ** np.clip(M - 1 - jj, 0, None), 0.0) * F1 * X1
+    Cm *= invw_pow[jj + 1]
+    return C0, C1, Cm

@@ -5,7 +5,7 @@ Three subcommands:
   summarize  average per (model, scan) across one or more scans files
   oracle     sanity-check a branching model's count prediction by sampling
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical failure.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import numpy as np
 
 from .cardinality import CardinalityDistribution, predict_cardinality
 from .config import MODEL_NAMES, ExperimentConfig, load_config
-from .errors import ConfigError, InvalidModelError, NumericalError
+from .errors import ConfigError, DomainError, InvalidModelError, NumericalError
 from .experiment import run_experiment, summarize
 from .sim import ScenarioConfig, mc_branching_oracle
 from .spawning import bell_coefficients
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, InvalidModelError) as exc:
+    except (ConfigError, DomainError, InvalidModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

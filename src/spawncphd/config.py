@@ -7,11 +7,12 @@ typo in a parameter name would otherwise run the wrong experiment.
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidModelError
-from .filtering import Rect
+from .filtering import DEFAULT_REDUCTION, Rect
 from .gaussian import ReductionConfig
 from .sim import ScenarioConfig
 from .spawning import (
@@ -40,7 +41,7 @@ class ExperimentConfig:
     zip_rate: float = 2.5
     ospa_cutoff_pos: float = 100.0
     ospa_cutoff_vel: float = 100.0
-    reduction: ReductionConfig = ReductionConfig(1e-5, 4.0, 100)
+    reduction: ReductionConfig = DEFAULT_REDUCTION
 
     def __post_init__(self) -> None:
         if self.n_runs < 1:
@@ -54,6 +55,12 @@ class ExperimentConfig:
                 )
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model names")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be nonnegative")
+        for key in ("ospa_cutoff_pos", "ospa_cutoff_vel"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{key} = {value} must be finite and positive")
 
     def spawn_model(self, name: str) -> SpawnModel:
         kernel = self.scenario.spawn_kernel()

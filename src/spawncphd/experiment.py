@@ -4,9 +4,9 @@ One experiment fixes a single truth realization (derived from the base seed)
 and replays it under `n_runs` independent measurement-noise draws. Within a
 run every contender filters the *same* scans, so the comparison is paired.
 
-Output layout: each run writes a headerless part file; the parts are merged
-in run order into `scans.csv` and deleted. Rows are therefore identical no
-matter how many worker processes produced them.
+Output layout: each run returns its rows, and `scans.csv` holds them in run
+order after one header line. Rows are therefore identical no matter how many
+worker processes produced them.
 """
 
 import csv
@@ -98,31 +98,23 @@ def run_one(cfg: ExperimentConfig, run_idx: int) -> list:
     return rows
 
 
-def _write_part(cfg: ExperimentConfig, run_idx: int, out_dir: Path) -> Path:
-    path = Path(out_dir) / f"run{run_idx:04d}.part"
-    path.write_text("\n".join(run_one(cfg, run_idx)) + "\n")
-    return path
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
-    """Run the full comparison and return the path of the merged scans.csv."""
+    """Run the full comparison and return the path of the written scans.csv."""
     if jobs < 1:
         raise ConfigError(f"jobs = {jobs} must be positive")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     indices = range(cfg.n_runs)
     if jobs == 1:
-        parts = [_write_part(cfg, i, out_dir) for i in indices]
+        runs = [run_one(cfg, i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_write_part, repeat(cfg), indices, repeat(out_dir)))
+            runs = list(pool.map(run_one, repeat(cfg), indices))
     target = out_dir / "scans.csv"
     with open(target, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for part in parts:
-            fh.write(part.read_text())
-    for part in parts:
-        part.unlink()
+        for rows in runs:
+            fh.write("\n".join(rows) + "\n")
     return target
 
 

@@ -6,12 +6,12 @@ an explicit distribution over the target count. Two prediction flavors exist,
 locations) and `predict_birth` (independent spontaneous appearances), sharing
 the same `update` step.
 
-The update propagates the count distribution jointly with the intensity using
+The update propagates the count distribution jointly with the intensity:
 elementary symmetric functions (ESF) of the per-measurement association
-strengths. A detection's weight needs only one contraction of its
-leave-one-out ESF, which prefix and suffix tables give as one GEMM with a
-Hankel matrix, without the cancellation of polynomial deflation (see
-`_esf_leave_one_out`). All per-measurement and per-component work is
+strengths contract with `cardinality.count_update_tables`. A detection's
+weight needs one contraction of its leave-one-out ESF, which prefix and
+suffix tables give as one GEMM with a Hankel matrix, without the
+cancellation of polynomial deflation (see `_esf_leave_one_out`). All per-measurement and per-component work is
 batched over contiguous (component, measurement) tables: innovations are
 filled one measurement coordinate at a time, the Mahalanobis form is summed
 coordinate by coordinate (the bits of numpy's trailing-axis sum for k <= 7
@@ -31,9 +31,10 @@ import numpy as np
 
 from .cardinality import (
     CardinalityDistribution,
-    _factorials,
+    _falling_table,
     binomial_thin,
     convolve_counts,
+    count_update_tables,
     map_estimate,
     poisson_pmf,
     predict_cardinality,
@@ -46,7 +47,7 @@ from .gaussian import (
     reduce_mixture,
     transform_mixture,
 )
-from .spawning import SpawnModel, _check_prob, bell_coefficients, spawn_intensity
+from .spawning import SpawnModel, _check_prob, _check_rate, bell_coefficients, spawn_intensity
 
 log = logging.getLogger(__name__)
 
@@ -148,9 +149,7 @@ class SensorModel:
         if self.R.shape != (self.H.shape[0], self.H.shape[0]):
             raise InvalidModelError("measurement noise shape does not match H")
         self.p_d = _check_prob(self.p_d, "detection probability")
-        self.clutter_rate = float(self.clutter_rate)
-        if not self.clutter_rate >= 0.0:
-            raise InvalidModelError(f"clutter rate {self.clutter_rate} must be nonnegative")
+        self.clutter_rate = _check_rate(self.clutter_rate, "clutter rate")
 
     @classmethod
     def position_sensor(
@@ -174,9 +173,7 @@ class BirthModel:
     mixture: GaussianMixture
 
     def __post_init__(self) -> None:
-        self.rate = float(self.rate)
-        if not self.rate >= 0.0 or not np.isfinite(self.rate):
-            raise InvalidModelError(f"birth rate {self.rate} must be finite and nonnegative")
+        self.rate = _check_rate(self.rate, "birth rate")
         if self.rate > 0.0:
             if len(self.mixture) == 0:
                 raise InvalidModelError("positive birth rate needs a nonempty state mixture")
@@ -368,7 +365,7 @@ def update(
         # No spatial mass: every measurement must be clutter.
         if M > 0 and lam_c == 0.0:
             raise NumericalError("measurements received but neither targets nor clutter possible")
-        vals = qd ** np.arange(N + 1) * rho
+        vals = _falling_table(N, qd)[1][0] * rho  # qd^n
         den = float(np.cumsum(vals)[-1]) if vals.size else 0.0
         if not np.isfinite(den) or den <= 0.0:
             raise NumericalError("count update normalizer is zero or non-finite")
@@ -401,35 +398,8 @@ def update(
     u = s * assoc
     u_c = s * lam_c
 
-    K_deg = min(M, N)
-
-    # Coefficient tables over (order j, count n).
-    fact = _factorials(N)
-    jj = np.arange(K_deg + 1)[:, None]
-    nn = np.arange(N + 1)[None, :]
-    qd_pow = qd ** np.arange(N + 1)
-    invw_pow = (1.0 / s_w) ** np.arange(K_deg + 2)
-
-    valid0 = jj <= nn
-    perm0 = np.where(valid0, fact[nn] / fact[np.clip(nn - jj, 0, N)], 0.0)
-    C0 = (
-        u_c ** (M - jj)
-        * perm0
-        * np.where(valid0, qd_pow[np.clip(nn - jj, 0, N)], 0.0)
-        * invw_pow[jj]
-    )
-
-    valid1 = jj <= nn - 1
-    perm1 = np.where(valid1, fact[nn] / fact[np.clip(nn - jj - 1, 0, N)], 0.0)
-    qd1 = np.where(valid1, qd_pow[np.clip(nn - jj - 1, 0, N)], 0.0)
-    C1 = u_c ** (M - jj) * perm1 * qd1 * invw_pow[jj + 1]
-    Cm = (
-        np.where(jj <= M - 1, u_c ** np.clip(M - 1 - jj, 0, None), 0.0)
-        * perm1
-        * qd1
-        * invw_pow[jj + 1]
-    )
-    e_full, loo_c = _esf_leave_one_out(u, K_deg, Cm @ rho)
+    C0, C1, Cm = count_update_tables(N, M, qd, u_c, s_w)
+    e_full, loo_c = _esf_leave_one_out(u, min(M, N), Cm @ rho)
     ups0 = e_full @ C0  # (N+1,)
     ups1 = e_full @ C1
 

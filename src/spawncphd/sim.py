@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cardinality import CardinalityDistribution
+from .cardinality import MAX_COUNT, CardinalityDistribution
 from .errors import ConfigError, DomainError
 from .filtering import BirthModel, MotionModel, Rect, SensorModel
 from .gaussian import GaussianMixture
@@ -77,8 +77,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n_scans < 1:
             raise ConfigError(f"n_scans = {self.n_scans} must be positive")
-        if self.n_max < 0:
-            raise ConfigError(f"n_max = {self.n_max} must be nonnegative")
+        if not 0 <= self.n_max <= MAX_COUNT:
+            raise ConfigError(f"n_max = {self.n_max} outside 0..{MAX_COUNT} (float64 n! limit)")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError(f"dt = {self.dt} must be finite and positive")
+        for key in ("accel_std", "noise_std", "kernel_std", "daughter_vel_std",
+                    "birth_pos_std", "birth_vel_std", "clutter_rate", "birth_rate"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{key} = {value} must be finite and nonnegative")
 
     # Model builders used by the filter side of an experiment.
 
@@ -116,11 +123,6 @@ class ScenarioConfig:
         return SpawnSpatialModel.single(
             np.eye(4), np.zeros(4), self.kernel_std**2 * np.eye(4)
         )
-
-    def transition_matrix(self) -> np.ndarray:
-        F = np.eye(4)
-        F[0, 2] = F[1, 3] = self.dt
-        return F
 
 
 @dataclass
@@ -182,7 +184,7 @@ def _propagate(x0: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
 
 def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:
     """Build the scripted target set. Only daughter velocities consume rng."""
-    F = cfg.transition_matrix()
+    F = cfg.motion_model().F
     tracks: list[TruthTrack] = []
     for x0 in cfg.initial_states:
         tracks.append(TruthTrack(None, 0, _propagate(np.asarray(x0, float), F, cfg.n_scans)))
@@ -261,7 +263,7 @@ def mc_branching_oracle(
     an independent check on that prediction.
     """
     if n_samples < 1:
-        raise DomainError("need at least one sample")
+        raise DomainError(f"n_samples = {n_samples}: need at least one sample")
     n_max = rho.n_max
     parents = rng.choice(n_max + 1, size=n_samples, p=rho.probs)
     survivors = rng.binomial(parents, p_s)

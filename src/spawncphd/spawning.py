@@ -12,24 +12,21 @@ Each law is one class that gives its expected daughters per parent
 (`alpha`), its daughter-count pmf on 0..n_max (`daughter_pmf`) and a sampler
 of the daughters of an array of parent counts (`sample`).
 `bell_coefficients` composes any law's pmf with survival (probability p_s)
-into the factorial-scaled coefficients consumed by cardinality prediction;
-`spawn_intensity` produces the spawned part of the predicted intensity.
+into the successor pmf that `BellCoefficients.from_pmf` scales for count
+prediction; `spawn_intensity` produces the spawned part of the intensity.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .cardinality import BellCoefficients, _factorials, poisson_pmf
+from .cardinality import BellCoefficients, poisson_pmf
 from .errors import InvalidModelError
 from .gaussian import GaussianMixture, _require_psd
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -193,10 +190,7 @@ def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoeffici
     d = model.daughter_pmf(n_max)
     succ = (1.0 - p_s) * d
     succ[1:] += p_s * d[:-1]
-    tail = max(0.0, 1.0 - float(np.cumsum(succ)[-1]))
-    if tail > 1e-12:
-        log.debug("offspring coefficients truncated %.3e mass at n_max=%d", tail, n_max)
-    return BellCoefficients(succ * _factorials(n_max), tail_mass=tail)
+    return BellCoefficients.from_pmf(succ)
 
 
 def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMixture:

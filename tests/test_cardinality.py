@@ -15,6 +15,9 @@ from scipy import stats
 
 from spawncphd.cardinality import (
     CardinalityDistribution,
+    _factorials,
+    _pascal,
+    bell_triangle,
     binomial_thin,
     convolve_counts,
     map_estimate,
@@ -225,6 +228,10 @@ class TestPredictCardinality:
                 np.testing.assert_allclose(out.mean, rho.mean * growth, rtol=1e-6)
         assert checked >= 12  # the guard must not hollow out the test
 
+    def test_counts_beyond_float64_factorials_refused(self):
+        with pytest.raises(DomainError, match="171! overflows float64"):
+            bell_coefficients(MODELS[0], PS, 171)
+
     def test_deficit_reported_when_tail_escapes(self):
         rho = CardinalityDistribution.delta(8, 8)
         model = PoissonSpawn(2.0, KERNEL)
@@ -240,6 +247,86 @@ class TestPredictCardinality:
         out = pgf_compose_oracle(rho, q)
         ref = np.convolve(np.convolve(q, q), q)[:13]
         np.testing.assert_allclose(out.probs, ref / ref.sum(), rtol=1e-13)
+
+
+# ---------------------------------------------------------------- bit identity
+#
+# The count tables are built once per (n_max, base) and cached. These are the
+# tables as first written, built in place on every call; the cached builders
+# must reproduce them bit for bit.
+
+
+def reference_bell_coefficients(model, p_s, n_max):
+    """(b, tail_mass) of `bell_coefficients`, factorial scaling done inline."""
+    d = model.daughter_pmf(n_max)
+    succ = (1.0 - p_s) * d
+    succ[1:] += p_s * d[:-1]
+    tail = max(0.0, 1.0 - float(np.cumsum(succ)[-1]))
+    return succ * _factorials(n_max), tail
+
+
+def reference_predict_cardinality(rho, b):
+    N = rho.n_max
+    bv = b.b
+    if bv.shape[0] < N + 1:
+        bv = np.concatenate([bv, np.zeros(N + 1 - bv.shape[0])])
+    else:
+        bv = bv[: N + 1]
+    fact = _factorials(N)
+    jj = np.arange(N + 1)[:, None]
+    mm = np.arange(N + 1)[None, :]
+    pow_b0 = bv[0] ** np.arange(N + 1)
+    G = np.where(
+        mm >= jj, fact[mm] / fact[np.clip(mm - jj, 0, N)] * pow_b0[np.clip(mm - jj, 0, N)], 0.0
+    )
+    T = bell_triangle(N, bv[1:]) / fact[:, None]
+    out = T @ (G @ rho.probs)
+    total = float(np.cumsum(out)[-1])
+    deficit = max(0.0, 1.0 - total)
+    return CardinalityDistribution(out, normalize=True, deficit=deficit)
+
+
+def reference_binomial_thin(rho, p):
+    N = rho.n_max
+    C = _pascal(N)
+    nn = np.arange(N + 1)[:, None]
+    mm = np.arange(N + 1)[None, :]
+    pn = p ** np.arange(N + 1)
+    qn = (1.0 - p) ** np.arange(N + 1)
+    Th = np.where(mm >= nn, C[mm, nn] * qn[np.clip(mm - nn, 0, N)], 0.0)
+    Th *= pn[:, None]
+    return CardinalityDistribution(Th @ rho.probs, normalize=True)
+
+
+def assert_same_prediction(rho, model, p_s):
+    b = bell_coefficients(model, p_s, rho.n_max)
+    ref_b, ref_tail = reference_bell_coefficients(model, p_s, rho.n_max)
+    assert np.array_equal(b.b, ref_b)
+    assert b.tail_mass == ref_tail
+    got = predict_cardinality(rho, b)
+    ref = reference_predict_cardinality(rho, b)
+    assert np.array_equal(got.probs, ref.probs)
+    assert got.truncation_deficit == ref.truncation_deficit
+
+
+class TestCachedTablesBitIdentity:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 20, 100, 170])
+    def test_matches_reference(self, n_max):
+        rho = CardinalityDistribution(np.random.default_rng(n_max).dirichlet(np.ones(n_max + 1)))
+        for p_s in (0.0, 0.5, 0.99, 1.0):
+            for model in MODELS:
+                assert_same_prediction(rho, model, p_s)
+            got = binomial_thin(rho, p_s)
+            assert np.array_equal(got.probs, reference_binomial_thin(rho, p_s).probs)
+
+    def test_interleaved_laws_and_probabilities(self):
+        # Repeated keys hit the caches; a key that missed the law or the
+        # probability would hand one caller's tables to the other.
+        rho = random_prior(np.random.default_rng(131))
+        for model, p in [(MODELS[0], 0.5), (MODELS[2], 0.99)] * 2:
+            assert_same_prediction(rho, model, PS)
+            got = binomial_thin(rho, p)
+            assert np.array_equal(got.probs, reference_binomial_thin(rho, p).probs)
 
 
 # ---------------------------------------------------------------- MAP

@@ -6,7 +6,8 @@ import io
 import pytest
 
 from spawncphd.cli import main
-from spawncphd.config import CSV_HEADER
+from spawncphd.config import CSV_HEADER, load_config
+from spawncphd.errors import ConfigError
 
 SMALL_INI = (
     "[scenario]\nn_scans = 30\n"
@@ -155,3 +156,39 @@ class TestOracleCommand:
 
     def test_bad_model_exits_2(self):
         assert main(["oracle", "--model", "magic", "--count", "1"]) == 2
+
+
+class TestRefusedInputs:
+    """Out-of-range inputs exit 2 with a message naming the key, no traceback."""
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("sensor", "clutter_rate = -5"),
+            ("sensor", "clutter_rate = inf"),
+            ("sensor", "noise_std = -10"),
+            ("scenario", "daughter_vel_std = -2"),
+            ("motion", "dt = 0"),
+            ("metrics", "ospa_cutoff_pos = 0"),
+            ("experiment", "seed = -4"),
+            ("scenario", "n_max = 171"),
+        ],
+    )
+    def test_config_value(self, tmp_path, capsys, section, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^{key} = "):
+            load_config(str(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} = " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [(["--count", "30"], "count 30"), (["--count", "1", "--samples", "0"], "n_samples = 0")],
+    )
+    def test_oracle_argument(self, capsys, args, key):
+        assert main(["oracle", "--model", "zip"] + args) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/ runs to completion against the source tree,
+raises no RuntimeWarning and leaves nothing in the temp directory."""
 
 import os
 import subprocess
@@ -18,12 +19,16 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    # pytest's filterwarnings setting does not reach a subprocess
     done = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path)),
+        env=dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp)),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-4000:]
+    assert not list(tmp.iterdir())

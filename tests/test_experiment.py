@@ -6,10 +6,12 @@ import io
 import numpy as np
 import pytest
 
+from spawncphd.cardinality import _falling_table, _predict_tables
 from spawncphd.config import CSV_HEADER, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
 from spawncphd.gaussian import ReductionConfig
+from spawncphd.spawning import bell_coefficients
 
 EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
 
@@ -153,6 +155,24 @@ class TestRunOne:
         tail = rows[-5:]
         err = np.mean([abs(int(p[4]) - int(p[3])) for p in tail])
         assert err <= 2.0
+
+    def test_one_count_table_per_count_range_and_base(self):
+        # The spawning predictions share the falling-factorial table with the
+        # update: one build per (n_max, b_0) and one per (n_max, 1 - p_d).
+        cfg = load_config(None)
+        sc = cfg.scenario
+        _falling_table.cache_clear()
+        _predict_tables.cache_clear()
+        run_one(cfg, 0)
+        keys = {(sc.n_max, 1.0 - sc.p_d)} | {
+            (sc.n_max, float(bell_coefficients(cfg.spawn_model(m), sc.p_s, sc.n_max).b[0]))
+            for m in cfg.models
+            if m != "birth"
+        }
+        info = _falling_table.cache_info()
+        assert info.misses == info.currsize == len(keys) == 4
+        F, X = _falling_table(*keys.pop())
+        assert not (F.flags.writeable or X.flags.writeable)
 
 
 class TestRunExperiment:

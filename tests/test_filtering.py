@@ -545,16 +545,19 @@ def reference_update(
     return _checked(FilterState(posterior, rho_new))
 
 
-def update_scene(J, M, k, p_d, clutter_rate, seed):
-    """A J-component prior, and M measurements of a k-coordinate sensor: one
-    per component near its mean where M allows, the rest uniform clutter."""
+def update_scene(J, M, k, p_d, clutter_rate, seed, n_max=20):
+    """A J-component prior with counts 0..n_max, and M measurements of a
+    k-coordinate sensor: one per component near its mean where M allows, the
+    rest uniform clutter."""
     rng = np.random.default_rng(seed)
     mix = GaussianMixture(
         rng.uniform(0.05, 1.0, size=J),
         np.column_stack([rng.uniform(-900.0, 900.0, size=(J, 2)), rng.normal(0.0, 10.0, size=(J, 2))]),
         np.stack([np.diag(rng.uniform([40.0, 40.0, 4.0, 4.0], [400.0, 400.0, 40.0, 40.0]))] * J),
     )
-    state = FilterState(mix, CardinalityDistribution(rng.uniform(0.1, 1.0, size=21), normalize=True))
+    state = FilterState(
+        mix, CardinalityDistribution(rng.uniform(0.1, 1.0, size=n_max + 1), normalize=True)
+    )
     H = np.eye(k, 4)
     sensor = SensorModel(H, np.diag(rng.uniform(50.0, 150.0, size=k)), p_d, clutter_rate, FOV)
     n_near = min(M, J)
@@ -580,10 +583,26 @@ class TestUpdateBitIdentity:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("J", [1, 40])
     @pytest.mark.parametrize("M", [0, 1, 400])
-    @pytest.mark.parametrize("p_d", [0.9, 1.0])
-    def test_matches_reference(self, reduction, k, J, M, p_d):
-        state, scan, sensor = update_scene(J, M, k, p_d, M + 50.0, seed=J * 1000 + M + k)
+    @pytest.mark.parametrize(
+        "p_d, n_max",
+        [
+            pytest.param(p_d, n_max, id=f"{p_d}" + ("" if n_max == 20 else f"-n_max{n_max}"))
+            for p_d in (0.9, 1.0)
+            for n_max in (20, 100)
+        ],
+    )
+    def test_matches_reference(self, reduction, k, J, M, p_d, n_max):
+        state, scan, sensor = update_scene(
+            J, M, k, p_d, M + 50.0, seed=J * 1000 + M + k, n_max=n_max
+        )
         assert_same_update(state, scan, sensor, reduction)
+
+    def test_interleaved_detection_probabilities_match_reference(self):
+        # The count tables are cached; a key that missed p_d would hand one
+        # sensor's tables to the other.
+        for p_d in (0.9, 0.95, 0.9, 0.95):
+            state, scan, sensor = update_scene(40, 60, 2, p_d, 110.0, seed=7)
+            assert_same_update(state, scan, sensor, None)
 
     @REDUCTIONS
     @pytest.mark.parametrize("k", [2, 3])
@@ -688,3 +707,5 @@ class TestModels:
             MotionModel.constant_velocity(1.0, 5.0, p_s=1.5)
         with pytest.raises(InvalidModelError):
             SensorModel.position_sensor(10.0, p_d=-0.1, clutter_rate=50.0, fov=FOV)
+        with pytest.raises(InvalidModelError, match="clutter rate"):
+            SensorModel.position_sensor(10.0, p_d=0.9, clutter_rate=math.inf, fov=FOV)
