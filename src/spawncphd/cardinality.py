@@ -2,15 +2,17 @@
 
 The central operation is `predict_cardinality`: it pushes a count distribution
 through one time step in which every parent independently leaves behind a
-random number of successors (survivor plus spawned daughters), using partial
-Bell polynomials of the factorial-scaled offspring coefficients b_i. The
-slower `pgf_compose_oracle` computes the same distribution by truncated
-power-series composition and exists as an independent correctness check.
+random number of successors (survivor plus spawned daughters). The paper
+writes it with partial Bell polynomials of b_i = i! q_i (q the successor pmf),
+but the factorials cancel: B_{n,j}(b_1, ..)/n! m!/(m-j)! b_0^(m-j) =
+C(m, j) q_0^(m-j) [Q^j]_n, Q being q without its zero term. So the step thins
+the parents by 1 - q_0 and adds that many i.i.d. nonempty broods, every entry
+at most 1. The slower `pgf_compose_oracle` is an independent check.
 
-No other module scales by factorials: `BellCoefficients.from_pmf` scales an
-offspring pmf, and one cached table n!/(n-j)! x^(n-j) serves the branching
-prediction (x = b_0) and the CPHD count update (`count_update_tables`,
-x = 1 - p_d). Counts stop at `MAX_COUNT`, since 171! overflows float64.
+One cached table C(n, j) x^(n-j) is the kernel of the prediction (x = q_0),
+of survival thinning (x = 1 - p_s) and of the CPHD count update (x = 1 - p_d,
+as n!/(n-j)! = j! C(n, j)). Only the update's degree vector scales by j!, so
+counts stop at `MAX_COUNT` there: 171! overflows float64.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ MAX_COUNT = 170  # 171! overflows float64
 
 def _factorials(n: int) -> np.ndarray:
     if n > MAX_COUNT:
-        raise DomainError(f"n_max = {n} exceeds {MAX_COUNT}: {n}! overflows float64")
+        raise DomainError(f"count {n} exceeds {MAX_COUNT}: {n}! overflows float64")
     out = np.ones(n + 1)
     if n >= 1:
         out[1:] = np.cumprod(np.arange(1, n + 1, dtype=float))
@@ -99,35 +101,33 @@ class CardinalityDistribution:
 
 @dataclass
 class BellCoefficients:
-    """Factorial-scaled per-parent offspring coefficients.
-
-    b[i] = i! * P(a parent leaves exactly i successors); `tail_mass` is the
-    offspring probability lost to truncation at the vector length.
+    """Per-parent successor pmf: pmf[i] = P(a parent leaves exactly i
+    successors). `tail_mass` is the offspring probability lost to truncation
+    at the vector length.
     """
 
-    b: np.ndarray
+    pmf: np.ndarray
     tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        if self.b.size == 0:
+        self.pmf = np.asarray(self.pmf, dtype=float).reshape(-1)
+        if self.pmf.size == 0:
             raise InvalidModelError("empty offspring coefficient vector")
-        if not np.all(np.isfinite(self.b)) or self.b.min() < 0.0:
+        if not np.all(np.isfinite(self.pmf)) or self.pmf.min() < 0.0:
             raise InvalidModelError("offspring coefficients must be finite and nonnegative")
         self.tail_mass = float(self.tail_mass)
 
     @property
     def n_max(self) -> int:
-        return self.b.shape[0] - 1
+        return self.pmf.shape[0] - 1
 
-    @classmethod
-    def from_pmf(cls, pmf: np.ndarray) -> "BellCoefficients":
-        """b[i] = i! * pmf[i]; the mass pmf lacks is the truncated tail."""
-        tail = max(0.0, 1.0 - float(np.cumsum(pmf)[-1]))
-        return cls(pmf * _factorials(pmf.shape[0] - 1), tail_mass=tail)
+    @property
+    def b(self) -> np.ndarray:
+        """The paper's factorial-scaled coefficients b[i] = i! * pmf[i]."""
+        return self.pmf * _factorials(self.n_max)
 
     def offspring_pmf(self) -> np.ndarray:
-        return self.b / _factorials(self.n_max)
+        return self.pmf
 
 
 def poisson_pmf(rate: float, n_max: int) -> np.ndarray:
@@ -138,8 +138,8 @@ def poisson_pmf(rate: float, n_max: int) -> np.ndarray:
         p = np.zeros(n_max + 1)
         p[0] = 1.0
         return p
-    n = np.arange(n_max + 1, dtype=float)
-    return np.exp(-rate + n * np.log(rate) - np.log(_factorials(n_max)))
+    # p[n] = p[n-1] rate / n: no factorial, no exp of a large argument
+    return np.multiply.accumulate(np.append(np.exp(-rate), rate / np.arange(1, n_max + 1)))
 
 
 def bell_triangle(n: int, x) -> np.ndarray:
@@ -175,30 +175,37 @@ def partial_bell(n: int, j: int, x) -> float:
 
 
 @lru_cache(maxsize=64)
-def _falling_table(N: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only F[j, n] = n!/(n-j)! and X[j, n] = x^(n-j), rows j = 0..N+1 and
-    columns n = 0..N, both 0 where j > n."""
-    fact = _factorials(N)
+def _binomial_table(N: int, x: float) -> np.ndarray:
+    """Read-only B[j, n] = C(n, j) x^(n-j) for rows j = 0..N+1 and columns
+    n = 0..N, 0 where j > n."""
+    C = _pascal(N)
     jj, nn = np.ogrid[: N + 2, : N + 1]
-    valid = jj <= nn
     lag = np.clip(nn - jj, 0, N)
-    F = np.where(valid, fact[nn] / fact[lag], 0.0)
-    X = np.where(valid, (x ** np.arange(N + 1))[lag], 0.0)
-    F.flags.writeable = X.flags.writeable = False
-    return F, X
+    B = np.where(nn >= jj, C[nn, np.minimum(jj, N)] * (x ** np.arange(N + 1))[lag], 0.0)
+    B.flags.writeable = False
+    return B
 
 
-# The two matrices of the branching prediction depend only on the offspring
-# coefficients, not on the prior, so they are reused across scans.
+def _thinning(N: int, p: float, q: float) -> np.ndarray:
+    """T[n, m] = C(m, n) p^n q^(m-n): n of m kept, each with chance p = 1 - q."""
+    return _binomial_table(N, q)[: N + 1] * (p ** np.arange(N + 1))[:, None]
+
+
+# The two matrices of the branching prediction depend only on the successor
+# pmf, not on the prior, so they are reused across scans.
 @lru_cache(maxsize=64)
-def _predict_tables(b_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    bv = np.frombuffer(b_bytes)
-    N = bv.shape[0] - 1
-    F, X = _falling_table(N, float(bv[0]))
-    # G[j, m] = m!/(m-j)! * b0^(m-j) for m >= j, so A = G @ rho
-    G = F[: N + 1] * X[: N + 1]
-    # lower-triangular Bell values scaled so out = T @ A directly
-    T = bell_triangle(N, bv[1:]) / _factorials(N)[:, None]
+def _predict_tables(q_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    q = np.frombuffer(q_bytes)
+    N = q.shape[0] - 1
+    q0 = float(q[0])
+    # G[j, m] = P(j of m parents leave a nonempty brood)
+    G = _thinning(N, 1.0 - q0, q0)
+    # T[n, j] = [R^j]_n, R the pmf of a brood given it is nonempty
+    r = np.append(0.0, q[1:]) / (1.0 - q0 if q0 < 1.0 else 1.0)
+    T = np.zeros((N + 1, N + 1))
+    T[0, 0] = 1.0
+    for j in range(1, N + 1):
+        T[:, j] = np.convolve(T[:, j - 1], r)[: N + 1]
     G.flags.writeable = T.flags.writeable = False
     return G, T
 
@@ -208,19 +215,15 @@ def predict_cardinality(
 ) -> CardinalityDistribution:
     """Push a count distribution through one branching step.
 
-    Each of m i.i.d. parents leaves i successors with probability b_i / i!;
-    the predicted probability of n total successors combines partial Bell
-    polynomials of (b_1, .., b_n) with falling-factorial sums over the prior.
+    Each of m i.i.d. parents leaves i successors with probability q_i; the
+    predicted probability of n total successors is
+    sum_m rho(m) sum_j C(m, j) q_0^(m-j) [Q^j]_n (see the module docstring).
     Output is truncated at the prior's n_max and renormalized; the truncated
     mass is reported as `truncation_deficit`.
     """
     N = rho.n_max
-    bv = b.b
-    if bv.shape[0] < N + 1:
-        bv = np.concatenate([bv, np.zeros(N + 1 - bv.shape[0])])
-    else:
-        bv = bv[: N + 1]
-    G, T = _predict_tables(bv.tobytes())
+    q = np.pad(b.pmf[: N + 1], (0, max(0, N - b.n_max)))
+    G, T = _predict_tables(q.tobytes())
     out = T @ (G @ rho.probs)
     total = float(np.cumsum(out)[-1])
     deficit = max(0.0, 1.0 - total)
@@ -258,23 +261,12 @@ def map_estimate(rho: CardinalityDistribution) -> int:
     return int(np.argmax(rho.probs))
 
 
-@lru_cache(maxsize=64)
-def _thin_table(N: int, p: float) -> np.ndarray:
-    C = _pascal(N)
-    nn, mm = np.ogrid[: N + 1, : N + 1]
-    pn = p ** np.arange(N + 1)
-    qn = (1.0 - p) ** np.arange(N + 1)
-    Th = np.where(mm >= nn, C[mm, nn] * qn[np.clip(mm - nn, 0, N)], 0.0)
-    Th *= pn[:, None]
-    Th.flags.writeable = False
-    return Th
-
-
 def binomial_thin(rho: CardinalityDistribution, p: float) -> CardinalityDistribution:
     """Each of n individuals independently survives with probability p."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"survival probability {p} outside [0, 1]")
-    return CardinalityDistribution(_thin_table(rho.n_max, float(p)) @ rho.probs, normalize=True)
+    p = float(p)
+    return CardinalityDistribution(_thinning(rho.n_max, p, 1.0 - p) @ rho.probs, normalize=True)
 
 
 def convolve_counts(rho: CardinalityDistribution, pmf) -> CardinalityDistribution:
@@ -289,18 +281,18 @@ def convolve_counts(rho: CardinalityDistribution, pmf) -> CardinalityDistributio
 
 def count_update_tables(N: int, M: int, qd: float, u_c: float, s_w: float) -> tuple:
     """Tables over (order j <= min(M, N), count n) of the CPHD count update
-    (Vo, Vo & Cantoni, IEEE TSP 55(7), 2007), with F, X the (N, qd) table:
-    C0[j] = u_c^(M-j) F[j] X[j] / s_w^j, C1[j] = u_c^(M-j) F[j+1] X[j+1] /
-    s_w^(j+1), and Cm is C1 with u_c^(M-1-j) in front, 0 for j >= M. M is the
-    measurement count, qd = 1 - p_d, u_c the scaled clutter count and s_w the
-    intensity mass."""
+    (Vo, Vo & Cantoni, IEEE TSP 55(7), 2007), with B the (N, qd) binomial
+    table: C0[j] = u_c^(M-j) j! / s_w^j B[j], C1[j] = u_c^(M-j) (j+1)! /
+    s_w^(j+1) B[j+1], and Cm is C1 with u_c^(M-1-j) in front, 0 for j >= M.
+    M is the measurement count, qd = 1 - p_d, u_c the scaled clutter count
+    and s_w the intensity mass."""
     K = min(M, N)
-    F, X = _falling_table(N, qd)
-    jj = np.arange(K + 1)[:, None]
-    invw_pow = (1.0 / s_w) ** np.arange(K + 2)
-    C0 = u_c ** (M - jj) * F[: K + 1] * X[: K + 1] * invw_pow[jj]
-    F1, X1 = F[1 : K + 2], X[1 : K + 2]
-    C1 = u_c ** (M - jj) * F1 * X1 * invw_pow[jj + 1]
-    Cm = np.where(jj <= M - 1, u_c ** np.clip(M - 1 - jj, 0, None), 0.0) * F1 * X1
-    Cm *= invw_pow[jj + 1]
-    return C0, C1, Cm
+    B = _binomial_table(N, qd)
+    # Row N + 1 of B is zero, so its degree weight is 0 rather than (N+1)!.
+    fact = np.append(_factorials(min(K + 1, N)), 0.0)[: K + 2]
+    j = np.arange(K + 1)
+    deg = fact * (1.0 / s_w) ** np.arange(K + 2)
+    C0 = (u_c ** (M - j) * deg[: K + 1])[:, None] * B[: K + 1]
+    C1 = (u_c ** (M - j) * deg[1:])[:, None] * B[1 : K + 2]
+    Cm = (np.where(j <= M - 1, u_c ** np.clip(M - 1 - j, 0, None), 0.0) * deg[1:])[:, None]
+    return C0, C1, Cm * B[1 : K + 2]

@@ -8,7 +8,10 @@ the same `update` step.
 
 The update propagates the count distribution jointly with the intensity:
 elementary symmetric functions (ESF) of the per-measurement association
-strengths contract with `cardinality.count_update_tables`. A detection's
+strengths contract with `cardinality.count_update_tables`: rows of the
+binomial table C(n, j) (1 - p_d)^(n-j) that also drives both predictions (the
+paper's Bell factorials cancel exactly), times a degree vector
+u_c^(M-j) j! / s_w^j, the filter's only factorial. A detection's
 weight needs one contraction of its leave-one-out ESF, which prefix and
 suffix tables give as one GEMM with a Hankel matrix, without the
 cancellation of polynomial deflation (see `_esf_leave_one_out`). All per-measurement and per-component work is
@@ -31,7 +34,7 @@ import numpy as np
 
 from .cardinality import (
     CardinalityDistribution,
-    _falling_table,
+    _binomial_table,
     binomial_thin,
     convolve_counts,
     count_update_tables,
@@ -365,7 +368,7 @@ def update(
         # No spatial mass: every measurement must be clutter.
         if M > 0 and lam_c == 0.0:
             raise NumericalError("measurements received but neither targets nor clutter possible")
-        vals = _falling_table(N, qd)[1][0] * rho  # qd^n
+        vals = _binomial_table(N, qd)[0] * rho  # qd^n
         den = float(np.cumsum(vals)[-1]) if vals.size else 0.0
         if not np.isfinite(den) or den <= 0.0:
             raise NumericalError("count update normalizer is zero or non-finite")

@@ -12,8 +12,9 @@ Each law is one class that gives its expected daughters per parent
 (`alpha`), its daughter-count pmf on 0..n_max (`daughter_pmf`) and a sampler
 of the daughters of an array of parent counts (`sample`).
 `bell_coefficients` composes any law's pmf with survival (probability p_s)
-into the successor pmf that `BellCoefficients.from_pmf` scales for count
-prediction; `spawn_intensity` produces the spawned part of the intensity.
+into the successor pmf that count prediction uses as it is (the paper's
+b_i = i! q_i cancel exactly, see `cardinality`); `spawn_intensity` produces
+the spawned part of the intensity.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def spawn_alpha(model: SpawnModel) -> float:
 
 
 def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoefficients:
-    """Factorial-scaled coefficients b_i = i! * P(i successors per parent).
+    """Successor pmf q_i = P(i successors per parent); `.b` is i! q_i.
 
     A successor is the surviving parent (probability p_s) or a spawned
     daughter; survival and spawning are independent. Truncated at n_max with
@@ -190,7 +191,7 @@ def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoeffici
     d = model.daughter_pmf(n_max)
     succ = (1.0 - p_s) * d
     succ[1:] += p_s * d[:-1]
-    return BellCoefficients.from_pmf(succ)
+    return BellCoefficients(succ, tail_mass=max(0.0, 1.0 - float(np.cumsum(succ)[-1])))
 
 
 def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMixture:

@@ -20,9 +20,11 @@ from spawncphd.cardinality import (
     bell_triangle,
     binomial_thin,
     convolve_counts,
+    count_update_tables,
     map_estimate,
     partial_bell,
     pgf_compose_oracle,
+    poisson_pmf,
     predict_cardinality,
 )
 from spawncphd.errors import DomainError
@@ -212,6 +214,16 @@ class TestPredictCardinality:
                 err = np.abs(via_bell.probs - via_pgf.probs).max()
                 assert err < 1e-10, (model, err)
 
+    @pytest.mark.parametrize("n_max", [171, 300, 500])
+    def test_matches_pgf_composition_oracle_beyond_float64_factorials(self, n_max):
+        rho = CardinalityDistribution(np.random.default_rng(n_max).dirichlet(np.ones(n_max + 1)))
+        for p_s in (0.0, 0.5, 0.99, 1.0):
+            for model in MODELS:
+                b = bell_coefficients(model, p_s, n_max)
+                got = predict_cardinality(rho, b).probs
+                ref = pgf_compose_oracle(rho, b.offspring_pmf()).probs
+                assert np.abs(got - ref).max() <= 1e-12, (model, p_s)
+
     def test_expected_count_consistency(self):
         # The 1e-6 first-moment law applies when the truncated tail is < 1e-9.
         rng = np.random.default_rng(109)
@@ -227,10 +239,6 @@ class TestPredictCardinality:
                 checked += 1
                 np.testing.assert_allclose(out.mean, rho.mean * growth, rtol=1e-6)
         assert checked >= 12  # the guard must not hollow out the test
-
-    def test_counts_beyond_float64_factorials_refused(self):
-        with pytest.raises(DomainError, match="171! overflows float64"):
-            bell_coefficients(MODELS[0], PS, 171)
 
     def test_deficit_reported_when_tail_escapes(self):
         rho = CardinalityDistribution.delta(8, 8)
@@ -252,8 +260,10 @@ class TestPredictCardinality:
 # ---------------------------------------------------------------- bit identity
 #
 # The count tables are built once per (n_max, base) and cached. These are the
-# tables as first written, built in place on every call; the cached builders
-# must reproduce them bit for bit.
+# routes as first written, built in place on every call: the paper's Bell
+# polynomials of factorial-scaled coefficients for the prediction, which the
+# binomial route must match to 1e-15, and the thinning table and coefficient
+# scaling, which the cached builders must reproduce bit for bit.
 
 
 def reference_bell_coefficients(model, p_s, n_max):
@@ -305,8 +315,9 @@ def assert_same_prediction(rho, model, p_s):
     assert b.tail_mass == ref_tail
     got = predict_cardinality(rho, b)
     ref = reference_predict_cardinality(rho, b)
-    assert np.array_equal(got.probs, ref.probs)
-    assert got.truncation_deficit == ref.truncation_deficit
+    np.testing.assert_allclose(got.probs, ref.probs, rtol=0, atol=1e-15)
+    # the deficit sums n_max + 1 entries, so it carries their rounding too
+    assert got.truncation_deficit == pytest.approx(ref.truncation_deficit, rel=0, abs=1e-14)
 
 
 class TestCachedTablesBitIdentity:
@@ -329,6 +340,24 @@ class TestCachedTablesBitIdentity:
             assert np.array_equal(got.probs, reference_binomial_thin(rho, p).probs)
 
 
+# ---------------------------------------------------------------- update tables
+
+
+class TestCountUpdateTables:
+    @pytest.mark.parametrize("N, M", [(171, 171), (300, 170), (500, 600)])
+    def test_degrees_beyond_float64_factorials_refused(self, N, M):
+        # The update's degree weights reach (min(M, N) + 1)!, capped at N!
+        # because row N + 1 of the binomial table is zero.
+        with pytest.raises(DomainError, match=rf"{min(M + 1, N)}! overflows float64"):
+            count_update_tables(N, M, 0.1, 0.5, 3.0)
+
+    @pytest.mark.parametrize("N, M", [(170, 169), (170, 170), (170, 400), (300, 169)])
+    def test_largest_degrees_within_float64(self, N, M):
+        for table in count_update_tables(N, M, 0.1, 0.5, 3.0):
+            assert table.shape == (min(M, N) + 1, N + 1)
+            assert np.all(np.isfinite(table))
+
+
 # ---------------------------------------------------------------- MAP
 
 
@@ -348,12 +377,18 @@ class TestCardinalityDistribution:
         np.testing.assert_allclose(d.probs, ref / ref.sum(), rtol=1e-12)
 
     def test_raw_poisson_pmf_keeps_tail_deficit(self):
-        from spawncphd.cardinality import poisson_pmf
-
         p = poisson_pmf(4.0, 6)
         np.testing.assert_allclose(p, stats.poisson.pmf(np.arange(7), 4.0), rtol=1e-12)
         assert p.sum() < 1.0  # truncated, deliberately not renormalized
         np.testing.assert_array_equal(poisson_pmf(0.0, 3), [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("rate", [0.025, 0.7, 2.5, 40.0])
+    def test_raw_poisson_pmf_matches_scipy_over_range(self, rate):
+        for n_max in (0, 1, 20, 170, 300, 500):
+            p = poisson_pmf(rate, n_max)
+            ref = stats.poisson.pmf(np.arange(n_max + 1), rate)
+            normal = ref >= np.finfo(float).tiny
+            np.testing.assert_allclose(p[normal], ref[normal], rtol=1e-12)
 
     def test_negative_probs_rejected(self):
         with pytest.raises(DomainError):

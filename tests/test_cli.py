@@ -157,6 +157,13 @@ class TestOracleCommand:
     def test_bad_model_exits_2(self):
         assert main(["oracle", "--model", "magic", "--count", "1"]) == 2
 
+    def test_counts_beyond_float64_factorials(self, capsys):
+        # The prediction forms no factorial, so 171! is no limit here.
+        code = main(["oracle", "--model", "zip", "--count", "150", "--n-max", "300"])
+        assert code == 0
+        tv = [l for l in capsys.readouterr().out.splitlines() if l.startswith("tv")]
+        assert len(tv) == 1 and float(tv[0].split("=")[1]) < 0.02
+
 
 class TestRefusedInputs:
     """Out-of-range inputs exit 2 with a message naming the key, no traceback."""

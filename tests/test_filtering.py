@@ -410,6 +410,79 @@ class TestUpdateDensity:
             update(state, np.zeros((1, k)), sensor, reduction=None)
 
 
+def association_sum_update(state, z, sensor):
+    """Posterior count pmf, miss weights and detection weights (measurement-
+    major) by summing over every subset D of detected measurements and every
+    ordered assignment of D to distinct targets, math.perm(n, |D|) of them.
+
+    Given n targets drawn i.i.d. from the normalized intensity, the scan
+    density is sum_D perm(n, d) p_d^d (1-p_d)^(n-d) prod_{z in D} g(z)
+    times the clutter set density (M-d)! Pois(M-d) V^-(M-d); g(z) is the
+    predicted-measurement density of the normalized intensity.
+    """
+    mix, H, R = state.intensity, sensor.H, sensor.R
+    rho, p_d, V = state.cardinality.probs, sensor.p_d, sensor.fov.area
+    M, J, s_w = z.shape[0], len(mix), mix.total_weight
+    dens = np.array(
+        [
+            [stats.multivariate_normal.pdf(z[i], mean=H @ mix.m[j], cov=H @ mix.P[j] @ H.T + R)
+             for j in range(J)]
+            for i in range(M)
+        ]
+    ).reshape(M, J)
+    g = dens @ mix.w / s_w
+    total = 0.0
+    counts = np.zeros(rho.shape[0])
+    missed = 0.0  # expected number of missed targets, times total
+    detected = np.zeros(M)  # probability that measurement i is a detection, times total
+    for n in range(rho.shape[0]):
+        for d in range(min(n, M) + 1):
+            clutter = (
+                math.factorial(M - d)
+                * stats.poisson.pmf(M - d, sensor.clutter_rate)
+                * V ** -(M - d)
+            )
+            for D in itertools.combinations(range(M), d):
+                t = rho[n] * math.perm(n, d) * p_d**d * (1.0 - p_d) ** (n - d) * clutter
+                t *= math.prod(g[i] for i in D)
+                total += t
+                counts[n] += t
+                missed += (n - d) * t
+                detected[list(D)] += t
+    w_miss = mix.w * missed / (s_w * total)
+    w_det = (dens * mix.w) / (s_w * g[:, None]) * (detected / total)[:, None]
+    return counts / total, w_miss, w_det.reshape(-1)
+
+
+class TestUpdateAssociationSum:
+    """`update` against an explicit sum over measurement-to-target
+    associations, an oracle that shares no arithmetic with the ESF tables."""
+
+    @pytest.mark.parametrize("p_d", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("M", [0, 1, 2, 4])
+    def test_matches_association_sum(self, M, p_d):
+        rng = np.random.default_rng(int(100 * p_d) + M)
+        fov = Rect(-60.0, 60.0, -60.0, 60.0)
+        for n_max in range(5):
+            J = int(rng.integers(1, 4))
+            mix = GaussianMixture(
+                rng.uniform(0.2, 1.5, size=J),
+                np.column_stack([rng.uniform(-40.0, 40.0, size=(J, 2)), rng.normal(0.0, 3.0, size=(J, 2))]),
+                np.stack([np.diag(rng.uniform([20.0, 20.0, 1.0, 1.0], [200.0, 200.0, 9.0, 9.0]))] * J),
+            )
+            state = FilterState(
+                mix, CardinalityDistribution(rng.uniform(0.1, 1.0, size=n_max + 1), normalize=True)
+            )
+            sensor = SensorModel.position_sensor(8.0, p_d, 2.5, fov)
+            z = rng.uniform(-50.0, 50.0, size=(M, 2))
+            counts, w_miss, w_det = association_sum_update(state, z, sensor)
+            post = update(state, z, sensor, reduction=None)
+            np.testing.assert_allclose(post.cardinality.probs, counts, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(post.intensity.w[:J], w_miss, rtol=1e-12, atol=0)
+            expected_det = w_det if p_d > 0.0 else np.empty(0)
+            np.testing.assert_allclose(post.intensity.w[J:], expected_det, rtol=1e-12, atol=0)
+
+
 def reference_update(
     state: FilterState,
     scan,
@@ -567,12 +640,18 @@ def update_scene(J, M, k, p_d, clutter_rate, seed, n_max=20):
 
 
 def assert_same_update(state, scan, sensor, reduction):
+    # The count tables are rows of the binomial table times j! where the
+    # reference forms n!/(n-j)!, so outputs agree to rounding, not bit for bit.
+    # Means and covariances are compared relative to each component's largest
+    # entry: merging cancels some entries to rounding noise near 1e-29.
     got = update(state, scan, sensor, reduction=reduction)
     ref = reference_update(state, scan, sensor, reduction=reduction)
-    assert np.array_equal(got.intensity.w, ref.intensity.w)
-    assert np.array_equal(got.intensity.m, ref.intensity.m)
-    assert np.array_equal(got.intensity.P, ref.intensity.P)
-    assert np.array_equal(got.cardinality.probs, ref.cardinality.probs)
+    assert len(got.intensity) == len(ref.intensity)
+    np.testing.assert_allclose(got.intensity.w, ref.intensity.w, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
+    for a, b in [(got.intensity.m, ref.intensity.m), (got.intensity.P, ref.intensity.P)]:
+        scale = np.abs(b).max(axis=tuple(range(1, b.ndim)), keepdims=True, initial=0.0)
+        assert np.all(np.abs(a - b) <= 1e-13 * scale)
 
 
 REDUCTIONS = pytest.mark.parametrize("reduction", [None, DEFAULT_REDUCTION], ids=["exact", "reduced"])
