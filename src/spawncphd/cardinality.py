@@ -28,6 +28,7 @@ from .errors import DomainError, InvalidModelError, NumericalError
 log = logging.getLogger(__name__)
 
 MAX_COUNT = 170  # 171! overflows float64
+MAX_RATE = -float(np.log(np.finfo(float).tiny))  # ~708.4: exp(-rate) stays normal
 
 
 def _factorials(n: int) -> np.ndarray:
@@ -134,6 +135,8 @@ def poisson_pmf(rate: float, n_max: int) -> np.ndarray:
     """Poisson pmf on 0..n_max, unnormalized (mass beyond n_max is dropped)."""
     if rate < 0.0:
         raise DomainError(f"negative rate {rate}")
+    if rate > MAX_RATE:
+        raise DomainError(f"rate {rate} exceeds {MAX_RATE:.1f}: exp(-rate) underflows")
     if rate == 0.0:
         p = np.zeros(n_max + 1)
         p[0] = 1.0

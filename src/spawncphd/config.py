@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .cardinality import MAX_RATE
 from .errors import ConfigError, InvalidModelError
 from .filtering import DEFAULT_REDUCTION, Rect
 from .gaussian import ReductionConfig
@@ -87,6 +88,12 @@ def _as_float(text: str, where: str) -> float:
         raise ConfigError(f"{where} = {text!r} is not a number") from None
 
 
+def _as_rate(text: str, where: str) -> float:
+    if (value := _as_float(text, where)) > MAX_RATE:
+        raise ConfigError(f"{where} = {value} exceeds {MAX_RATE:.1f}: exp(-rate) underflows")
+    return value
+
+
 def _as_models(text: str, where: str) -> tuple:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
@@ -123,14 +130,14 @@ _SCHEMA = {
         "prob": ("bernoulli_prob", _as_float),
     },
     "spawn.poisson": {
-        "rate": ("poisson_rate", _as_float),
+        "rate": ("poisson_rate", _as_rate),
     },
     "spawn.zip": {
         "prob": ("zip_prob", _as_float),
-        "rate": ("zip_rate", _as_float),
+        "rate": ("zip_rate", _as_rate),
     },
     "birth": {
-        "rate": ("scenario.birth_rate", _as_float),
+        "rate": ("scenario.birth_rate", _as_rate),
         "pos_std": ("scenario.birth_pos_std", _as_float),
         "vel_std": ("scenario.birth_vel_std", _as_float),
     },

@@ -3,7 +3,8 @@
 A mixture is stored as stacked arrays (weights, means, covariances) so the
 filter recursion can stay vectorized: `transform_mixture` pushes all
 components through one affine map, and `reduce_mixture` truncates, merges and
-caps them.
+caps them. Its merge sweeps do each piece of work once: every distinct
+covariance is inverted once, and only merged heads are inverted again.
 """
 
 from __future__ import annotations
@@ -149,14 +150,17 @@ def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ok[j] = False
     if not ok.all():
         log.warning(
-            "%d mixture component(s) have singular covariance; treated as non-mergeable",
+            "%d mixture covariance(s) singular; their components are treated as non-mergeable",
             int((~ok).sum()),
         )
     return inv, ok
 
 
-# At most this many (pivot, free row) gate distances are formed at once.
-_GATE_BLOCK = 1 << 18
+# At most this many (pivot, free row) gate distances are formed at once. On
+# the 104 reductions of a `dense_clutter` cycle 2^16 forms 165M in 2,863
+# blocks where the sequential greedy needs 100M; 2^18 forms 261M, and 2^15
+# and 2^17 run slower.
+_GATE_BLOCK = 1 << 16
 # Recheck band of a fast gate distance, relative to the absolute terms of its
 # expansion; their rounding stays below ~1e-14 of the same sum.
 _GATE_BAND = 1e-10
@@ -167,19 +171,36 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, 1)
 
 
+def _gate_features(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Per-row state of a merge sweep: the gate features, quadratic-form rows
+    [x'Ax, -(A + A')x, diag A, upper (A + A')] and columns [1, x, x*x,
+    x_k x_l], then A itself for the exact recheck."""
+    J, d = m.shape
+    k, l = _upper_pairs(d)
+    S = inv + np.transpose(inv, (0, 2, 1))
+    Sm = np.matmul(S, m[:, :, None])[:, :, 0]
+    return np.concatenate(
+        [0.5 * (Sm * m).sum(axis=1, keepdims=True), -Sm, np.diagonal(inv, 0, 1, 2), S[:, k, l],
+         np.ones((J, 1)), m, m * m, m[:, k] * m[:, l], inv.reshape(J, d * d)],
+        axis=1,
+    )
+
+
 def _merge_pass(
-    w: np.ndarray, m: np.ndarray, P: np.ndarray, U: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    w: np.ndarray, m: np.ndarray, P: np.ndarray, state: tuple, U: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, tuple | None]:
     """One greedy merge sweep; outputs come one per pivot, in pivot order.
 
     Pivots are taken in descending-weight order (ties by index). A pivot p
     absorbs every free component i with (m_i - m_p)' A_i (m_i - m_p) <= U,
     A_i being the candidate's own inverse covariance; singular covariances
-    gate nothing. Distances of the free rows to a block of pivots are one
-    GEMM of quadratic-form features, rows [x'Ax, -(A + A')x, diag A, upper
-    (A + A')] against columns [1, x, x*x, x_k x_l]. Pairs within
-    _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U are recomputed with
-    the direct formula, so every gate decision is the direct one.
+    gate nothing. `state` is (`_gate_features(m, A)`, mergeable flags); a
+    sweep that merges returns it for its outputs, carrying the rows of
+    unmerged pivots and recomputing only merged heads. Distances of the free
+    rows to a block of pivots are one GEMM of the features. Pairs within
+    _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U, a band formed once
+    a sweep, are recomputed with the direct formula, so every gate decision
+    is the direct one.
 
     The greedy is emitted without a Python iteration per pivot. A pivot of a
     block is live iff no earlier live pivot of the block gates it; array
@@ -189,36 +210,32 @@ def _merge_pass(
     are moment-matched after the last block, weights and covariance terms
     summed in ascending member order, as the sequential greedy sums them:
     the covariance terms go through one 1-D `np.add.at` on the flattened
-    (groups * d * d) totals, member by member.
+    (groups * d * d) totals, member by member, and each mean is the greedy's
+    own `w @ m` product, on slices of the members gathered once a sweep.
     """
     J, d = m.shape
-    inv, mergeable = _batched_inverses(P)
-    k, l = _upper_pairs(d)
-    S = inv + np.transpose(inv, (0, 2, 1))
-    Sm = np.matmul(S, m[:, :, None])[:, :, 0]
-    rowF = np.concatenate(
-        [0.5 * (Sm * m).sum(axis=1, keepdims=True), -Sm, np.diagonal(inv, 0, 1, 2), S[:, k, l]],
-        axis=1,
-    )
-    colF = np.concatenate([np.ones((J, 1)), m, m * m, m[:, k] * m[:, l]], axis=1)
+    F, mergeable = state
+    nf = 1 + 2 * d + _upper_pairs(d)[0].shape[0]  # features a side
+    rowF, colF, inv = F[:, :nf], F[:, nf : 2 * nf], F[:, 2 * nf :].reshape(J, d, d)
     colmax = np.abs(colF).max(axis=0)
 
     order = np.lexsort((np.arange(J), -w))
     rows = np.flatnonzero(mergeable)
+    band = _GATE_BAND * (1.0 + np.abs(rowF[rows]) @ colmax)
     free = np.ones(J, dtype=bool)
     live = np.zeros(J, dtype=bool)
     owner = np.arange(J)  # the pivot whose group each component joins
     queue = order
     while queue.shape[0]:
-        rows = rows[free[rows]]
-        piv, queue = np.split(queue, [max(1, _GATE_BLOCK // max(rows.shape[0], 1))])
-        R = rowF[rows]
-        d2 = colF[piv] @ R.T  # (pivots, free rows)
-        band = _GATE_BAND * (1.0 + np.abs(R) @ colmax)
+        still = free[rows]
+        rows, band = rows[still], band[still]
+        n = max(1, _GATE_BLOCK // max(rows.shape[0], 1))
+        piv, queue = queue[:n], queue[n:]
+        d2 = colF[piv] @ rowF[rows].T  # (pivots, free rows)
         gate = d2 <= U - band
-        near = ~(d2 > U + band)  # NaN counts as near
-        if np.count_nonzero(near) > np.count_nonzero(gate):
-            c, r = np.nonzero(near & ~gate)
+        far = d2 > U + band  # NaN counts as near
+        if far.size - np.count_nonzero(far) > np.count_nonzero(gate):
+            c, r = np.nonzero(~(far | gate))
             diff = m[rows[r]] - m[piv[c]]
             gate[c, r] = (np.matmul(diff[:, None, :], inv[rows[r]])[:, 0, :] * diff).sum(axis=1) <= U
 
@@ -238,34 +255,42 @@ def _merge_pass(
 
         lp = piv[alive]
         gl = gate[alive]
-        hit = gl.any(axis=0)
-        owner[rows[hit]] = lp[gl.argmax(axis=0)[hit]]
+        hit = np.flatnonzero(gl.any(axis=0))
+        taken = rows[hit]
+        owner[taken] = lp[gl[:, hit].argmax(axis=0)]
         owner[lp] = lp
         live[lp] = True
-        free[rows[hit]] = False
+        free[taken] = False
         free[piv] = False
         queue = queue[free[queue]]
 
     size = np.bincount(owner, minlength=J)
     heads = np.flatnonzero(size > 1)
-    out_w, out_m, out_P = w.copy(), m.copy(), P.copy()
-    if heads.shape[0]:
-        mem = np.flatnonzero(size[owner] > 1)  # ascending member order
-        grp = np.searchsorted(heads, owner[mem])
-        tot = np.zeros(heads.shape[0])
-        np.add.at(tot, grp, w[mem])
-        srt, ends = mem[np.argsort(grp, kind="stable")], np.cumsum(size[heads]).tolist()
-        for p, t, a, b in zip(heads, tot, [0] + ends[:-1], ends):
-            out_m[p] = w[srt[a:b]] @ m[srt[a:b]] / t
-        dev = out_m[owner[mem]] - m[mem]
-        terms = w[mem][:, None, None] * (P[mem] + dev[:, :, None] * dev[:, None, :])
-        Pbar = np.zeros(heads.shape[0] * d * d)
-        np.add.at(Pbar, (grp[:, None] * (d * d) + np.arange(d * d)).ravel(), terms.ravel())
-        Pbar = Pbar.reshape(-1, d, d) / tot[:, None, None]
-        out_w[heads] = tot
-        out_P[heads] = 0.5 * (Pbar + np.transpose(Pbar, (0, 2, 1)))
     sel = order[live[order]]
-    return out_w[sel], out_m[sel], out_P[sel], bool(heads.shape[0])
+    if not heads.shape[0]:
+        return w[sel], m[sel], P[sel], False, None
+    mem = np.flatnonzero(size[owner] > 1)  # ascending member order
+    grp = np.searchsorted(heads, owner[mem])
+    tot = np.zeros(heads.shape[0])
+    np.add.at(tot, grp, w[mem])
+    out_w, out_m, out_P = w.copy(), m.copy(), P.copy()
+    srt, ends = mem[np.argsort(grp, kind="stable")], np.cumsum(size[heads]).tolist()
+    ws, ms = w[srt], m[srt]
+    sums = [ws[a:b] @ ms[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    out_m[heads] = np.array(sums) / tot[:, None]
+    dev = out_m[owner[mem]] - m[mem]
+    terms = w[mem][:, None, None] * (P[mem] + dev[:, :, None] * dev[:, None, :])
+    Pbar = np.zeros(heads.shape[0] * d * d)
+    np.add.at(Pbar, (grp[:, None] * (d * d) + np.arange(d * d)).ravel(), terms.ravel())
+    Pbar = Pbar.reshape(-1, d, d) / tot[:, None, None]
+    out_w[heads] = tot
+    out_P[heads] = 0.5 * (Pbar + np.transpose(Pbar, (0, 2, 1)))
+
+    w, m, P, F, mergeable = out_w[sel], out_m[sel], out_P[sel], F[sel], mergeable[sel]
+    new = size[sel] > 1
+    inv, mergeable[new] = _batched_inverses(P[new])
+    F[new] = _gate_features(m[new], inv)
+    return w, m, P, True, (F, mergeable)
 
 
 def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixture:
@@ -278,17 +303,29 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
     rounding band of merge_threshold. Merge sweeps repeat until none fires,
     which makes the operation idempotent even when moment-matched covariances
     widen enough to gate further pairs. The max_components heaviest results
-    are kept.
+    are kept. Each bitwise-distinct covariance (NaN and -0.0 entries group
+    only with identical bits) is inverted once, per-matrix LAPACK giving
+    every member the bits an `inv` of the whole stack would; later sweeps
+    invert only merged heads: 88k inverses a `dense_clutter` cycle, not 627k.
     """
     keep = mix.w >= cfg.trunc_threshold
     w, m, P = mix.w[keep], mix.m[keep], mix.P[keep]
+    # One inverse per bitwise-distinct covariance: rows sorted by a weighted
+    # sum of their 32-bit words are grouped where neighbours match bit for bit.
+    J, d = m.shape
+    bits = P.reshape(J, d * d).view(np.int64)
+    srt = np.argsort(bits.view(np.int32) @ np.arange(1, 4 * d * d, 2))
+    bits = bits[srt]
+    first = np.ones(J, dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    back = np.empty(J, dtype=np.intp)
+    back[srt] = np.cumsum(first) - 1
+    inv, mergeable = _batched_inverses(P[srt[first]])
+    state = _gate_features(m, inv[back]), mergeable[back]
     while w.shape[0] > 1:
-        w, m, P, merged_any = _merge_pass(w, m, P, cfg.merge_threshold)
+        w, m, P, merged_any, state = _merge_pass(w, m, P, state, cfg.merge_threshold)
         if not merged_any:
             break
-
-    order = np.lexsort((np.arange(w.shape[0]), -w))
-    w, m, P = w[order], m[order], P[order]
-    if w.shape[0] > cfg.max_components:
-        w, m, P = w[: cfg.max_components], m[: cfg.max_components], P[: cfg.max_components]
-    return GaussianMixture(w, m, P)
+    # A sweep that merges nothing emits its rows sorted, in pivot order.
+    n = cfg.max_components
+    return GaussianMixture(w[:n], m[:n], P[:n])

@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from spawncphd.cardinality import (
+    MAX_RATE,
     CardinalityDistribution,
     _factorials,
     _pascal,
@@ -389,6 +390,18 @@ class TestCardinalityDistribution:
             ref = stats.poisson.pmf(np.arange(n_max + 1), rate)
             normal = ref >= np.finfo(float).tiny
             np.testing.assert_allclose(p[normal], ref[normal], rtol=1e-12)
+
+    def test_poisson_rate_limit_is_normal_exp(self):
+        # exp(-708) is still a normal float64, exp(-746) underflows to zero
+        # and used to surface as a zero-mass normalization failure.
+        assert MAX_RATE == -math.log(np.finfo(float).tiny)
+        assert 708.0 < MAX_RATE < 709.0
+        d = CardinalityDistribution.poisson(708.0, 170)
+        assert np.isfinite(d.probs).all() and d.probs[-1] > 0.0
+        with pytest.raises(DomainError, match=r"rate 746(\.0)? exceeds 708\.4"):
+            CardinalityDistribution.poisson(746.0, 170)
+        with pytest.raises(DomainError, match=r"exceeds 708\.4"):
+            poisson_pmf(np.nextafter(MAX_RATE, np.inf), 20)
 
     def test_negative_probs_rejected(self):
         with pytest.raises(DomainError):

@@ -112,6 +112,20 @@ class TestLoadConfig:
         )
         assert load_config(str(ini)).reduction == ReductionConfig(0.0, 0.0, 1)
 
+    @pytest.mark.parametrize("section", ["birth", "spawn.poisson", "spawn.zip"])
+    def test_rates_beyond_normal_exp_rejected(self, tmp_path, section):
+        ini = tmp_path / "rate.ini"
+        ini.write_text(f"[{section}]\nrate = 708\n")
+        load_config(str(ini))
+        ini.write_text(f"[{section}]\nrate = 746\n")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] rate = 746\.0 exceeds 708\.4"):
+            load_config(str(ini))
+
+    def test_clutter_rate_stays_unbounded(self, tmp_path):
+        ini = tmp_path / "clutter.ini"
+        ini.write_text("[sensor]\nclutter_rate = 2000\n")
+        assert load_config(str(ini)).scenario.clutter_rate == 2000.0
+
     def test_unknown_model_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[experiment]\nmodels = zip, teleport\n")

@@ -4,15 +4,23 @@
 directly, in row chunks of one (J, J) table, and runs the greedy one pivot at
 a time, emitting one output per pivot in pivot order. `_merge_pass` must agree
 with it bit for bit, here on mixtures large enough to span many gate blocks.
+`reduce_mixture` carries inverses and gate features from sweep to sweep and
+inverts each distinct covariance once; update-shaped mixtures, many rows
+sharing each covariance, exercise that.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spawncphd import gaussian
 from spawncphd.gaussian import (
+    _GATE_BLOCK,
     GaussianMixture,
     ReductionConfig,
     _batched_inverses,
+    _gate_features,
     _merge_pass,
     reduce_mixture,
 )
@@ -66,8 +74,14 @@ def reference_reduce(mix, cfg):
     return GaussianMixture(w[order], m[order], P[order])
 
 
+def fresh_state(m, P):
+    """The sweep state `reduce_mixture` starts from, computed row by row."""
+    inv, mergeable = _batched_inverses(P)
+    return _gate_features(m, inv), mergeable
+
+
 def assert_same_pass(w, m, P, U):
-    got, ref = _merge_pass(w, m, P, U), reference_merge_pass(w, m, P, U)
+    got, ref = _merge_pass(w, m, P, fresh_state(m, P), U), reference_merge_pass(w, m, P, U)
     assert got[3] == ref[3]
     for a, b in zip(got[:3], ref[:3]):
         assert np.array_equal(a, b)
@@ -162,7 +176,7 @@ def test_pivot_absorbs_only_its_own_gate():
     w = np.array([1.0, 0.8, 0.6, 0.5, 0.25])
     m = np.array([[0.0], [1.5], [3.0], [-5.0], [-8.0]])
     P = np.array([[[25.0]], [[1.0]], [[1.0]], [[1.0]], [[25.0]]])
-    ow, om, oP, merged_any = _merge_pass(w, m, P, 4.0)
+    ow, om, oP, merged_any, _ = _merge_pass(w, m, P, fresh_state(m, P), 4.0)
     assert merged_any
     take = [0, 1, 4]
     tot = 1.0 + 0.8 + 0.25
@@ -210,7 +224,7 @@ def test_few_mergeable_rows_under_many_pivots_match_reference():
     wide = rng.choice(5000, size=10, replace=False)
     P[wide] = mix.P[wide] * 25.0
     mix = GaussianMixture(mix.w, mix.m, P)
-    got = _merge_pass(mix.w, mix.m, mix.P, 4.0)
+    got = _merge_pass(mix.w, mix.m, mix.P, fresh_state(mix.m, mix.P), 4.0)
     assert got[3] and got[0].shape[0] < 5000  # some wide rows were absorbed
     assert_same_pass(mix.w, mix.m, mix.P, 4.0)
     assert_same_reduce(mix, ReductionConfig(0.0, 4.0, 10_000))
@@ -223,7 +237,7 @@ def test_live_pivot_keeps_itself_outside_its_own_gate():
     w = np.array([1.0, 0.5])
     m = np.array([[0.0], [2.0]])
     P = np.array([[[-1.0]], [[1.0]]])
-    ow, om, oP, merged_any = _merge_pass(w, m, P, -1.0)
+    ow, om, oP, merged_any, _ = _merge_pass(w, m, P, fresh_state(m, P), -1.0)
     assert not merged_any
     np.testing.assert_array_equal(ow, w)
     np.testing.assert_array_equal(om, m)
@@ -253,3 +267,120 @@ def test_singular_members_match_per_matrix_inverse():
     assert np.array_equal(inv, ref_inv, equal_nan=True)
     assert np.array_equal(ok, ref_ok)
     assert ok[42] and not ok[[7, 40, 41, 43]].any()
+
+
+def update_shaped(rng, n_cov, reps, spread):
+    """Rows shaped like the detection block of an update: each of n_cov
+    covariances is shared by `reps` rows whose means scatter around one
+    centre in that covariance's own metric, rows of all covariances
+    interleaved."""
+    base = clustered(rng, n_cov, max(1, n_cov // 10), spread=1.0, pos_std=10.0, vel_std=3.0)
+    j = rng.permutation(np.repeat(np.arange(n_cov), reps))
+    L = np.linalg.cholesky(base.P)
+    m = base.m[j] + spread * np.matmul(L[j], rng.normal(size=(j.shape[0], 4, 1)))[:, :, 0]
+    return GaussianMixture(rng.uniform(1e-4, 1.0, size=j.shape[0]), m, base.P[j])
+
+
+def with_signed_zero_pair(mix, a, b):
+    """Covariances a and b become one diagonal matrix that differs only in
+    the sign of a zero off-diagonal entry."""
+    P = mix.P.copy()
+    cov = np.diag([100.0, 100.0, 9.0, 9.0])
+    first_a, first_b = P[a].copy(), P[b].copy()
+    for src, sign in ((first_a, 1.0), (first_b, -1.0)):
+        hit = (P == src).all(axis=(1, 2))
+        P[hit] = cov
+        P[hit, 0, 1] = P[hit, 1, 0] = sign * 0.0
+    return GaussianMixture(mix.w, mix.m, P)
+
+
+def sweep_counter(monkeypatch, check=True):
+    """Counts sweeps, and merged heads: output rows of a sweep that match no
+    input row bit for bit (an unmerged pivot is emitted as it came in).
+    With `check`, the state a sweep hands on must be the one computed afresh."""
+    seen = {"sweeps": 0, "heads": 0}
+    inner = gaussian._merge_pass
+
+    def counting(w, m, P, state, U):
+        out = inner(w, m, P, state, U)
+        if check and out[4] is not None:
+            for a, b in zip(out[4], fresh_state(out[1], out[2])):
+                assert np.array_equal(a, b, equal_nan=True)
+        rows = {(a.tobytes(), b.tobytes(), c.tobytes()) for a, b, c in zip(w, m, P)}
+        seen["sweeps"] += 1
+        seen["heads"] += sum(
+            (a.tobytes(), b.tobytes(), c.tobytes()) not in rows for a, b, c in zip(*out[:3])
+        )
+        return out
+
+    monkeypatch.setattr(gaussian, "_merge_pass", counting)
+    return seen
+
+
+def test_repeated_covariances_with_singular_members_match_reference():
+    rng = np.random.default_rng(31)
+    mix = with_signed_zero_pair(update_shaped(rng, 300, 8, spread=1.5), 5, 6)
+    P = mix.P.copy()
+    zero, rank1 = ((P == P[i]).all(axis=(1, 2)) for i in (0, 1))
+    P[zero] = 0.0  # exactly singular on all rows of one covariance
+    P[rank1] = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+    mix = GaussianMixture(mix.w, mix.m, P)
+    assert zero.sum() > 1 and rank1.sum() > 1
+    assert len({p.tobytes() for p in mix.P}) == 300
+    assert_same_pass(mix.w, mix.m, mix.P, 4.0)
+    assert_same_reduce(mix, ReductionConfig(0.0, 4.0, 10_000))
+
+
+@pytest.mark.parametrize("n_cov, reps, spread, seed", [(200, 15, 1.5, 37), (300, 10, 2.0, 41)])
+def test_update_shaped_mixtures_match_reference(monkeypatch, n_cov, reps, spread, seed):
+    # A sweep takes many gate blocks, and moment-matched heads widen and gate
+    # further rows in later sweeps, so the carried inverses and features of
+    # unmerged rows are used again.
+    mix = update_shaped(np.random.default_rng(seed), n_cov, reps, spread)
+    assert len(mix) ** 2 > 100 * _GATE_BLOCK
+    assert_same_pass(mix.w, mix.m, mix.P, 4.0)
+    seen = sweep_counter(monkeypatch)
+    assert_same_reduce(mix, ReductionConfig(1e-5, 4.0, 100))
+    assert seen["sweeps"] >= 3
+
+
+def test_inverts_each_distinct_covariance_once_and_each_merged_head(monkeypatch):
+    rng = np.random.default_rng(43)
+    mix = with_signed_zero_pair(update_shaped(rng, 250, 12, spread=1.5), 3, 4)
+    distinct = len({p.tobytes() for p in mix.P})
+    assert distinct == 250  # the signed-zero pair stays two covariances
+    batches = []
+    inner = np.linalg.inv
+
+    def counting(a):
+        batches.append(1 if a.ndim == 2 else a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    seen = sweep_counter(monkeypatch, check=False)  # a fresh state would count
+    out = reduce_mixture(mix, ReductionConfig(0.0, 4.0, 10_000))
+    assert batches[0] == distinct
+    assert sum(batches) <= distinct + seen["heads"]
+    assert seen["sweeps"] >= 3 and len(out) < len(mix)
+    monkeypatch.undo()
+    assert_same_reduce(mix, ReductionConfig(0.0, 4.0, 10_000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_cov=st.integers(1, 12),
+    reps=st.integers(1, 30),
+    spread=st.sampled_from([0.25, 1.0, 2.0, 4.0]),
+    U=st.sampled_from([0.5, 4.0, 16.0]),
+    singular=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_duplicated_covariance_mixtures_match_reference(n_cov, reps, spread, U, singular, seed):
+    rng = np.random.default_rng(seed)
+    mix = update_shaped(rng, n_cov, reps, spread)
+    if singular:
+        P = mix.P.copy()
+        P[(P == P[0]).all(axis=(1, 2))] = 0.0
+        mix = GaussianMixture(mix.w, mix.m, P)
+    assert_same_pass(mix.w, mix.m, mix.P, U)
+    assert_same_reduce(mix, ReductionConfig(0.0, U, 10_000))
