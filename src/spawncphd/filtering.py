@@ -15,11 +15,13 @@ u_c^(M-j) j! / s_w^j, the filter's only factorial. A detection's
 weight needs one contraction of its leave-one-out ESF, which prefix and
 suffix tables give as one GEMM with a Hankel matrix, without the
 cancellation of polynomial deflation (see `_esf_leave_one_out`). All per-measurement and per-component work is
-batched over contiguous (component, measurement) tables: innovations are
-filled one measurement coordinate at a time, the Mahalanobis form is summed
-coordinate by coordinate (the bits of numpy's trailing-axis sum for k <= 7
-coordinates), and detection weights are built measurement-major, the order
-the posterior lists them in. Internally every association strength and the
+batched over contiguous (component, measurement) tables. Innovations and the
+Mahalanobis form go in blocks of whole components, at most `_PAIR_BLOCK`
+pairs each, one measurement coordinate at a time (the bits of numpy's
+trailing-axis sum for k <= 7 coordinates). What stays per pair is the
+likelihood table and the detection weights, built measurement-major, the
+order the posterior lists them in: about 16 bytes a pair, none of it held
+while the posterior is reduced. Internally every association strength and the
 expected clutter count are rescaled by a common positive factor chosen to
 keep the polynomial terms in floating range. The posterior is provably
 invariant to that factor, which `likelihood_scale` exposes for testing.
@@ -60,6 +62,11 @@ DEFAULT_REDUCTION = ReductionConfig(
 
 # Relative mass/mean disagreement beyond which the state is flagged.
 _CONSISTENCY_TOL = 0.05
+# At most this many (component, measurement) innovations and quadratic-form
+# terms are formed at once; a block holds whole components. On `dense_clutter`
+# (about 145 components x 2,100 measurements) it keeps the update's per-pair
+# memory at the 16 bytes of the likelihood and weight tables.
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -340,6 +347,11 @@ def update(
     positive value yields the same posterior up to rounding. The quadratic
     forms round as numpy's trailing-axis sum does for k <= 7 measurement
     coordinates (pairwise from 8); every configured sensor has k = 2.
+
+    Memory: innovations are formed in component blocks of at most
+    `_PAIR_BLOCK` pairs, so the update keeps about 16 bytes per (component,
+    measurement) pair (the likelihood and weight tables), and releases them
+    before `reduce_mixture` runs.
     """
     z = _as_scan_array(scan, sensor.H.shape[0])
     M = z.shape[0]
@@ -380,17 +392,22 @@ def update(
 
     # Per-component innovation statistics and per-measurement densities. The
     # innovations and the quadratic form (nu Sinv) . nu go one measurement
-    # coordinate at a time, left to right, over contiguous (J, M) tables.
+    # coordinate at a time, left to right, in blocks of whole components that
+    # each fill their own rows of the (J, M) table q.
     Sinv, Kg, P_upd, norm = _innovation_stats(mix, sensor.H, sensor.R)
     Hm = mix.m @ sensor.H.T
     k = sensor.H.shape[0]
-    nu = np.empty((J, M, k))
-    for c in range(k):
-        np.subtract(z[None, :, c], Hm[:, c, None], out=nu[:, :, c])
-    X = np.matmul(nu, Sinv)
-    q = X[..., 0] * nu[..., 0]  # (J, M): quadratic form, then likelihood
-    for c in range(1, k):
-        q += X[..., c] * nu[..., c]
+    q = np.empty((J, M))  # quadratic form, then likelihood
+    step = max(1, _PAIR_BLOCK // max(M, 1))
+    for a in range(0, J, step):
+        rows = slice(a, a + step)
+        nu = np.empty((min(step, J - a), M, k))
+        for c in range(k):
+            np.subtract(z[None, :, c], Hm[rows, c, None], out=nu[:, :, c])
+        X = np.matmul(nu, Sinv[rows])
+        np.multiply(X[..., 0], nu[..., 0], out=q[rows])
+        for c in range(1, k):
+            q[rows] += X[..., c] * nu[..., c]
     q *= -0.5
     np.exp(q, out=q)
     q /= norm[:, None]
@@ -427,11 +444,13 @@ def update(
             keep = np.arange(flat_w.shape[0])
         i_meas, j_comp = keep // J, keep % J
         m_det = mix.m[j_comp] + np.matmul(
-            Kg[j_comp], nu[j_comp, i_meas][:, :, None]
+            Kg[j_comp], (z[i_meas] - Hm[j_comp])[:, :, None]
         )[:, :, 0]
         det_block = (flat_w[keep], m_det, P_upd[j_comp])
+        del flat_w
     else:
         det_block = (np.empty(0), np.empty((0, mix.dim)), np.empty((0, mix.dim, mix.dim)))
+    del q, nu, X  # no per-pair table is held during the reduction
 
     if reduction is not None:
         keep_m = w_miss >= reduction.trunc_threshold

@@ -241,7 +241,8 @@ def generate_measurements(
         hits = hits[cfg.region.contains(hits)]
         n_clutter = int(rng.poisson(cfg.clutter_rate))
         z = np.concatenate([hits, cfg.region.sample(rng, n_clutter)])
-        rng.shuffle(z, axis=0)
+        # The draws and rows of rng.shuffle(z, axis=0), without its row swaps.
+        z = z[rng.permutation(z.shape[0])]
         scans.append(MeasurementScan(t, z))
     return scans
 

@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from spawncphd import filtering
 from spawncphd.cardinality import (
     CardinalityDistribution,
     _factorials,
@@ -348,6 +350,45 @@ class TestUpdate:
         with caplog.at_level(logging.WARNING, logger="spawncphd.filtering"):
             update(state, scan, SENSOR, reduction=harsh)
         assert any("consistency" in r.message for r in caplog.records)
+
+
+def origin_target_in_clutter():
+    """One target at the origin and 400 uniform clutter points, 10 m noise."""
+    state = FilterState(
+        GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None]),
+        CardinalityDistribution.poisson(1.0, 20),
+    )
+    sensor = SensorModel.position_sensor(10.0, 0.95, 400.0, FOV)
+    z = np.concatenate([[[0.0, 0.0]], np.random.default_rng(0).uniform(-1000.0, 1000.0, (400, 2))])
+    return state, z, sensor
+
+
+class TestKnownFailingUpdates:
+    """Valid scenes whose count update still fails. Each xfail names the error
+    it raises today, so a fix of the count arithmetic has to flip it."""
+
+    @pytest.mark.xfail(raises=NumericalError, strict=True)
+    def test_target_in_dense_clutter_default_scale(self):
+        # The default scale 1/max(assoc) leaves u_c = 0.065, and u_c ** 401
+        # underflows the normalizer.
+        update(*origin_target_in_clutter())
+
+    def test_target_in_dense_clutter_explicit_scale(self):
+        post = update(*origin_target_in_clutter(), likelihood_scale=1.0 / 400.0)
+        n, means = extract_estimates(post)
+        assert n == 1
+        assert np.abs(means[0, :2]).max() < 10.0
+
+    @pytest.mark.xfail(raises=RuntimeWarning, strict=True)
+    def test_wide_count_little_mass_many_measurements(self):
+        # The degree vector j! / s_w^j of count_update_tables overflows at
+        # n_max 170 with s_w = 0.01 and 200 measurements.
+        state = FilterState(
+            GaussianMixture(np.array([0.01]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None]),
+            CardinalityDistribution.poisson(0.01, 170),
+        )
+        sensor = SensorModel.position_sensor(10.0, 0.95, 200.0, FOV)
+        update(state, np.random.default_rng(0).uniform(-1000.0, 1000.0, (200, 2)), sensor)
 
 
 def two_component_scene(k, rng):
@@ -689,6 +730,42 @@ class TestUpdateBitIdentity:
     def test_clutter_free_matches_reference(self, reduction, k, J):
         state, scan, sensor = update_scene(J, min(J, 8), k, 1.0, 0.0, seed=J + k)
         assert_same_update(state, scan, sensor, reduction)
+
+
+class TestUpdatePairBlocks:
+    @REDUCTIONS
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p_d", [0.9, 1.0])
+    @pytest.mark.parametrize("M", [0, 2000])
+    def test_block_size_leaves_every_bit(self, monkeypatch, reduction, k, p_d, M):
+        # J * M = 80,000 pairs: the default block holds 16 components, so the
+        # last block is short; a block of 1 pair still holds one component.
+        state, scan, sensor = update_scene(40, M, k, p_d, M + 50.0, seed=M + k)
+        outs = []
+        for block in (1, filtering._PAIR_BLOCK, 1 << 40):
+            monkeypatch.setattr(filtering, "_PAIR_BLOCK", block)
+            post = update(state, scan, sensor, reduction=reduction)
+            outs.append((post.intensity.w, post.intensity.m, post.intensity.P, post.cardinality.probs))
+        for got in outs[1:]:
+            for a, b in zip(got, outs[0]):
+                assert np.array_equal(a, b)
+
+    def test_peak_memory_per_pair(self):
+        # 150 components x 3,150 measurements (3,000 of them uniform clutter).
+        # The update keeps the likelihood and weight tables, 16 bytes a pair,
+        # and reduces the kept pairs; it measured 10.3 MB here, 21.7 bytes a
+        # pair. Whole (J, M, k) innovation tables held through the reduction
+        # measured 27.2 MB, above the bound.
+        J, M = 150, 3150
+        state, scan, sensor = update_scene(J, M, 2, 0.95, 3000.0, seed=13)
+        update(state, scan, sensor)  # fill the count-table caches
+        tracemalloc.start()
+        try:
+            update(state, scan, sensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * J * M + 6_000_000
 
 
 class TestKalmanEquivalence:

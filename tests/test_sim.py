@@ -158,6 +158,17 @@ class TestMeasurements:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.z, sb.z)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 2000])
+    def test_permutation_gather_is_row_shuffle(self, n):
+        # generate_measurements gathers z[rng.permutation(n)] in place of
+        # rng.shuffle(z, axis=0): the same rows, and the same generator after.
+        z = np.random.default_rng(n).uniform(-1000.0, 1000.0, size=(n, 2))
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        swapped = z.copy()
+        a.shuffle(swapped, axis=0)
+        np.testing.assert_array_equal(z[b.permutation(n)], swapped)
+        assert a.random() == b.random()
+
     def test_detections_and_clutter_interleaved(self):
         # the scan must not reveal target measurements by position in the array
         cfg = ScenarioConfig(p_d=1.0, clutter_rate=50.0, noise_std=1e-6)
