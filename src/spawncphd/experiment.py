@@ -74,21 +74,22 @@ def run_one(cfg: ExperimentConfig, run_idx: int) -> list:
     sensor = scenario.sensor_model()
     birth = scenario.birth_model()
 
+    # Truth per scan, shared by every model.
+    ideals = [ideal_cardinality(int(counts[t]), scenario.n_max) for t in range(len(scans))]
+    states = [truth.states_at(t) for t in range(len(scans))]
     rows = []
     for name in cfg.models:
         spawn = None if name == "birth" else cfg.spawn_model(name)
         state = _initial_state(name, cfg)
-        for t, scan in enumerate(scans):
+        for t, (scan, ideal, X) in enumerate(zip(scans, ideals, states)):
             if spawn is not None:
                 pred = predict_spawning(state, motion, spawn)
             else:
                 pred = predict_birth(state, motion, birth)
-            ideal = ideal_cardinality(int(counts[t]), scenario.n_max)
             h_pred = hellinger(pred.cardinality, ideal)
             state = update(pred, scan, sensor, reduction=cfg.reduction)
             h_upd = hellinger(state.cardinality, ideal)
             n_map, est = extract_estimates(state)
-            X = truth.states_at(t)
             o_pos = ospa(est[:, :2], X[:, :2], cfg.ospa_cutoff_pos)
             o_vel = ospa(est[:, 2:], X[:, 2:], cfg.ospa_cutoff_vel)
             rows.append(

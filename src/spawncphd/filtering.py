@@ -19,12 +19,14 @@ batched over contiguous (component, measurement) tables. Innovations and the
 Mahalanobis form go in blocks of whole components, at most `_PAIR_BLOCK`
 pairs each, one measurement coordinate at a time (the bits of numpy's
 trailing-axis sum for k <= 7 coordinates). What stays per pair is the
-likelihood table and the detection weights, built measurement-major, the
-order the posterior lists them in: about 16 bytes a pair, none of it held
-while the posterior is reduced. Internally every association strength and the
-expected clutter count are rescaled by a common positive factor chosen to
-keep the polynomial terms in floating range. The posterior is provably
-invariant to that factor, which `likelihood_scale` exposes for testing.
+likelihood table, which becomes the detection weights in place: 8 bytes a
+pair, released before the posterior is reduced. The kept pairs go, in the
+measurement-major order the posterior lists them in, into posterior arrays
+allocated once: 168 bytes a kept pair for d = 4. Internally every
+association strength and the expected clutter count are rescaled by a
+common positive factor chosen to keep the polynomial terms in floating
+range. The posterior is provably invariant to that factor, which
+`likelihood_scale` exposes for testing.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ _CONSISTENCY_TOL = 0.05
 # At most this many (component, measurement) innovations and quadratic-form
 # terms are formed at once; a block holds whole components. On `dense_clutter`
 # (about 145 components x 2,100 measurements) it keeps the update's per-pair
-# memory at the 16 bytes of the likelihood and weight tables.
+# memory at the 8 bytes of the likelihood table.
 _PAIR_BLOCK = 1 << 15
 
 
@@ -329,7 +331,7 @@ def _esf_leave_one_out(u: np.ndarray, K: int, c: np.ndarray) -> tuple[np.ndarray
     t = np.arange(K + 1)
     deg = t[:, None] + t[None, :]
     Hc = np.where(deg <= K, c[np.minimum(deg, K)], 0.0)
-    return PR[M], ((PR[:M] @ Hc) * SF[::-1][1:]).sum(axis=1)
+    return PR[M].copy(), ((PR[:M] @ Hc) * SF[::-1][1:]).sum(axis=1)
 
 
 def update(
@@ -348,10 +350,14 @@ def update(
     forms round as numpy's trailing-axis sum does for k <= 7 measurement
     coordinates (pairwise from 8); every configured sensor has k = 2.
 
-    Memory: innovations are formed in component blocks of at most
-    `_PAIR_BLOCK` pairs, so the update keeps about 16 bytes per (component,
-    measurement) pair (the likelihood and weight tables), and releases them
-    before `reduce_mixture` runs.
+    Memory: innovations are formed in blocks of whole components, at most
+    `_PAIR_BLOCK` pairs where a component allows, and the means of kept
+    detections in blocks of as many pairs. The update keeps 8 bytes per
+    (component, measurement) pair, the likelihood table that becomes the
+    detection weights, and releases it before `reduce_mixture` runs. A kept
+    pair costs its posterior row, 168 bytes for d = 4, allocated once, plus
+    16 bytes of indices while the rows are filled: with `reduction=None`
+    about 200 bytes a pair in all.
     """
     z = _as_scan_array(scan, sensor.H.shape[0])
     M = z.shape[0]
@@ -408,6 +414,7 @@ def update(
         np.multiply(X[..., 0], nu[..., 0], out=q[rows])
         for c in range(1, k):
             q[rows] += X[..., c] * nu[..., c]
+    del nu, X
     q *= -0.5
     np.exp(q, out=q)
     q /= norm[:, None]
@@ -431,36 +438,41 @@ def update(
     r_miss = float(ups1 @ rho) / den
     w_miss = r_miss * qd * mix.w
 
-    if M > 0 and p_d > 0.0:
-        ratio_det = loo_c / den  # (M,)
-        # Detection weights, measurement-major: row i holds measurement i.
-        flat_w = np.multiply(q.T, mix.w, order="C")  # (M, J)
-        flat_w *= s * p_d * V
-        flat_w *= ratio_det[:, None]
-        flat_w = flat_w.reshape(-1)
-        if reduction is not None:
-            keep = np.nonzero(flat_w >= reduction.trunc_threshold)[0]
-        else:
-            keep = np.arange(flat_w.shape[0])
-        i_meas, j_comp = keep // J, keep % J
-        m_det = mix.m[j_comp] + np.matmul(
-            Kg[j_comp], (z[i_meas] - Hm[j_comp])[:, :, None]
-        )[:, :, 0]
-        det_block = (flat_w[keep], m_det, P_upd[j_comp])
-        del flat_w
-    else:
-        det_block = (np.empty(0), np.empty((0, mix.dim)), np.empty((0, mix.dim, mix.dim)))
-    del q, nu, X  # no per-pair table is held during the reduction
-
     if reduction is not None:
         keep_m = w_miss >= reduction.trunc_threshold
     else:
         keep_m = np.ones(J, dtype=bool)
-    posterior = GaussianMixture(
-        np.concatenate([w_miss[keep_m], det_block[0]]),
-        np.concatenate([mix.m[keep_m], det_block[1]]),
-        np.concatenate([mix.P[keep_m], det_block[2]]),
-    )
+    if M > 0 and p_d > 0.0:
+        ratio_det = loo_c / den  # (M,)
+        # Detection weights in place: w_j q_ji, times s p_d V, times ratio_det[i].
+        q *= mix.w[:, None]
+        q *= s * p_d * V
+        q *= ratio_det
+        if reduction is not None:
+            j_comp, i_meas = np.nonzero(q >= reduction.trunc_threshold)
+            srt = np.argsort(i_meas * J + j_comp)  # measurement-major, as listed
+            i_meas, j_comp = i_meas[srt], j_comp[srt]
+        else:
+            i_meas, j_comp = np.divmod(np.arange(M * J), J)
+    else:
+        i_meas = j_comp = np.empty(0, dtype=np.intp)
+
+    # The posterior: missed detections, then the kept detections.
+    nm, d = np.count_nonzero(keep_m), mix.dim
+    w_post = np.empty(nm + j_comp.shape[0])
+    m_post = np.empty((w_post.shape[0], d))
+    P_post = np.empty((w_post.shape[0], d, d))
+    w_post[:nm], m_post[:nm], P_post[:nm] = w_miss[keep_m], mix.m[keep_m], mix.P[keep_m]
+    w_post[nm:] = q[j_comp, i_meas]
+    del q  # no per-pair table is held during the reduction
+    np.take(P_upd, j_comp, axis=0, out=P_post[nm:], mode="clip")  # unbuffered
+    pairs = step * max(M, 1)  # means m_j + K_j (z_i - H m_j), a block of q at once
+    for a in range(0, j_comp.shape[0], pairs):
+        i, j = i_meas[a : a + pairs], j_comp[a : a + pairs]
+        gain = np.matmul(Kg[j], (z[i] - Hm[j])[:, :, None])[:, :, 0]
+        np.add(mix.m[j], gain, out=m_post[nm + a : nm + a + j.shape[0]])
+    del i_meas, j_comp
+    posterior = GaussianMixture(w_post, m_post, P_post)
     if reduction is not None:
         posterior = reduce_mixture(posterior, reduction)
     return _checked(FilterState(posterior, rho_new))

@@ -4,7 +4,10 @@ A mixture is stored as stacked arrays (weights, means, covariances) so the
 filter recursion can stay vectorized: `transform_mixture` pushes all
 components through one affine map, and `reduce_mixture` truncates, merges and
 caps them. Its merge sweeps do each piece of work once: every distinct
-covariance is inverted once, and only merged heads are inverted again.
+covariance is inverted once, and only merged heads are inverted again. The
+sweep state keeps those inverses in one table, a row referring to its entry
+by id: 128 bytes a row for d = 4, where a copy of the inverse per row would
+add another 128.
 """
 
 from __future__ import annotations
@@ -129,25 +132,32 @@ def transform_mixture(
 
 
 def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a (J, d, d) stack; flags exactly-singular members instead of
-    failing the whole batch. Returns (inverses, usable_mask)."""
-    J = P.shape[0]
-    ok = np.ones(J, dtype=bool)
+    """Invert a (J, d, d) stack; flags members without a finite inverse
+    instead of failing the whole batch. Returns (inverses, usable_mask).
+
+    When the whole stack does not invert, the members with a finite nonzero
+    determinant are inverted as one batch and the rest one at a time: a
+    determinant can underflow to 0, or be NaN, for a matrix LAPACK still
+    factors. Each member gets the bits of its own `inv`.
+    """
     try:
         inv = np.linalg.inv(P)
-        finite = np.isfinite(inv).all(axis=(1, 2))
-        if finite.all():
-            return inv, ok
-        ok = finite
+        if np.isfinite(inv).all():
+            return inv, np.ones(P.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
         pass
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = np.linalg.det(P)
+    one = ~np.isfinite(det) | (det == 0.0)
     inv = np.zeros_like(P)
-    for j in range(J):
+    inv[~one] = np.linalg.inv(P[~one])  # factored as det factored them: no zero pivot
+    ok = np.ones(P.shape[0], dtype=bool)
+    for j in np.flatnonzero(one):
         try:
             inv[j] = np.linalg.inv(P[j])
-            ok[j] = bool(np.isfinite(inv[j]).all())
         except np.linalg.LinAlgError:
             ok[j] = False
+    ok &= np.isfinite(inv).all(axis=(1, 2))
     if not ok.all():
         log.warning(
             "%d mixture covariance(s) singular; their components are treated as non-mergeable",
@@ -171,19 +181,34 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, 1)
 
 
-def _gate_features(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Per-row state of a merge sweep: the gate features, quadratic-form rows
-    [x'Ax, -(A + A')x, diag A, upper (A + A')] and columns [1, x, x*x,
-    x_k x_l], then A itself for the exact recheck."""
+def _row_features(m: np.ndarray, inv: np.ndarray, cid: np.ndarray) -> np.ndarray:
+    """Candidate-side gate features of rows with means m and inverse
+    covariances inv[cid]: [x'Ax, -(A + A')x, diag A, upper (A + A')], written
+    into one (J, 1 + 2d + d(d-1)/2) array. S = A + A', diag A and upper S are
+    formed once per table entry."""
     J, d = m.shape
     k, l = _upper_pairs(d)
     S = inv + np.transpose(inv, (0, 2, 1))
-    Sm = np.matmul(S, m[:, :, None])[:, :, 0]
-    return np.concatenate(
-        [0.5 * (Sm * m).sum(axis=1, keepdims=True), -Sm, np.diagonal(inv, 0, 1, 2), S[:, k, l],
-         np.ones((J, 1)), m, m * m, m[:, k] * m[:, l], inv.reshape(J, d * d)],
-        axis=1,
-    )
+    F = np.empty((J, 1 + 2 * d + k.shape[0]))
+    Sm = np.matmul(S[cid], m[:, :, None])[:, :, 0]
+    F[:, 0] = 0.5 * (Sm * m).sum(axis=1)
+    np.negative(Sm, out=F[:, 1 : 1 + d])
+    F[:, 1 + d : 1 + 2 * d] = np.diagonal(inv, 0, 1, 2)[cid]
+    F[:, 1 + 2 * d :] = S[:, k, l][cid]
+    return F
+
+
+def _pivot_features(m: np.ndarray) -> np.ndarray:
+    """Pivot-side gate features [1, x, x*x, x_k x_l]: a row's distance to
+    every pivot is the dot product of its candidate-side features with these."""
+    J, d = m.shape
+    k, l = _upper_pairs(d)
+    C = np.empty((J, 1 + 2 * d + k.shape[0]))
+    C[:, 0] = 1.0
+    C[:, 1 : 1 + d] = m
+    np.multiply(m, m, out=C[:, 1 + d : 1 + 2 * d])
+    np.multiply(m[:, k], m[:, l], out=C[:, 1 + 2 * d :])
+    return C
 
 
 def _merge_pass(
@@ -194,10 +219,13 @@ def _merge_pass(
     Pivots are taken in descending-weight order (ties by index). A pivot p
     absorbs every free component i with (m_i - m_p)' A_i (m_i - m_p) <= U,
     A_i being the candidate's own inverse covariance; singular covariances
-    gate nothing. `state` is (`_gate_features(m, A)`, mergeable flags); a
-    sweep that merges returns it for its outputs, carrying the rows of
-    unmerged pivots and recomputing only merged heads. Distances of the free
-    rows to a block of pivots are one GEMM of the features. Pairs within
+    gate nothing. `state` is (F, cid, A, ok): per row its candidate-side
+    features F (`_row_features`) and the id cid of its inverse covariance,
+    per id the inverse A[cid] and its mergeable flag ok[cid]. A sweep that
+    merges returns the state of its outputs: unmerged pivots keep their rows,
+    merged heads get fresh ones and append their inverses to the table.
+    Distances of the free rows to a block of pivots are one GEMM of F with
+    the pivot features, formed once a sweep. Pairs within
     _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U, a band formed once
     a sweep, are recomputed with the direct formula, so every gate decision
     is the direct one.
@@ -209,15 +237,17 @@ def _merge_pass(
     live pivot that gates it, and a live pivot always keeps itself. Groups
     are moment-matched after the last block, weights and covariance terms
     summed in ascending member order, as the sequential greedy sums them:
-    the covariance terms go through one 1-D `np.add.at` on the flattened
-    (groups * d * d) totals, member by member, and each mean is the greedy's
-    own `w @ m` product, on slices of the members gathered once a sweep.
+    weights through one `np.bincount`, the covariance terms through one 1-D
+    `np.add.at` on the flattened (groups * d * d) totals, member by member,
+    and each mean is the greedy's own `w @ m` product, on slices of the
+    members gathered once a sweep. The surviving rows are gathered once and
+    the heads overwritten in place.
     """
     J, d = m.shape
-    F, mergeable = state
-    nf = 1 + 2 * d + _upper_pairs(d)[0].shape[0]  # features a side
-    rowF, colF, inv = F[:, :nf], F[:, nf : 2 * nf], F[:, 2 * nf :].reshape(J, d, d)
+    rowF, cid, A, ok = state
+    colF = _pivot_features(m)
     colmax = np.abs(colF).max(axis=0)
+    mergeable = ok[cid]
 
     order = np.lexsort((np.arange(J), -w))
     rows = np.flatnonzero(mergeable)
@@ -237,7 +267,8 @@ def _merge_pass(
         if far.size - np.count_nonzero(far) > np.count_nonzero(gate):
             c, r = np.nonzero(~(far | gate))
             diff = m[rows[r]] - m[piv[c]]
-            gate[c, r] = (np.matmul(diff[:, None, :], inv[rows[r]])[:, 0, :] * diff).sum(axis=1) <= U
+            Ad = np.matmul(diff[:, None, :], A[cid[rows[r]]])[:, 0, :]
+            gate[c, r] = (Ad * diff).sum(axis=1) <= U
 
         cols = np.flatnonzero(mergeable[piv])  # block pivots that are free rows
         G = gate[:, np.searchsorted(rows, piv[cols])] & (np.arange(piv.shape[0])[:, None] < cols)
@@ -263,6 +294,7 @@ def _merge_pass(
         free[taken] = False
         free[piv] = False
         queue = queue[free[queue]]
+    del colF, d2  # the moment step needs neither
 
     size = np.bincount(owner, minlength=J)
     heads = np.flatnonzero(size > 1)
@@ -271,26 +303,30 @@ def _merge_pass(
         return w[sel], m[sel], P[sel], False, None
     mem = np.flatnonzero(size[owner] > 1)  # ascending member order
     grp = np.searchsorted(heads, owner[mem])
-    tot = np.zeros(heads.shape[0])
-    np.add.at(tot, grp, w[mem])
-    out_w, out_m, out_P = w.copy(), m.copy(), P.copy()
+    nh = heads.shape[0]
+    tot = np.bincount(grp, w[mem], nh)
     srt, ends = mem[np.argsort(grp, kind="stable")], np.cumsum(size[heads]).tolist()
     ws, ms = w[srt], m[srt]
     sums = [ws[a:b] @ ms[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    out_m[heads] = np.array(sums) / tot[:, None]
-    dev = out_m[owner[mem]] - m[mem]
-    terms = w[mem][:, None, None] * (P[mem] + dev[:, :, None] * dev[:, None, :])
-    Pbar = np.zeros(heads.shape[0] * d * d)
+    mbar = np.array(sums) / tot[:, None]
+    dev = mbar[grp] - m[mem]
+    terms = dev[:, :, None] * dev[:, None, :]
+    terms += P[mem]
+    terms *= w[mem][:, None, None]
+    Pbar = np.zeros(nh * d * d)
     np.add.at(Pbar, (grp[:, None] * (d * d) + np.arange(d * d)).ravel(), terms.ravel())
     Pbar = Pbar.reshape(-1, d, d) / tot[:, None, None]
-    out_w[heads] = tot
-    out_P[heads] = 0.5 * (Pbar + np.transpose(Pbar, (0, 2, 1)))
+    Pbar = 0.5 * (Pbar + np.transpose(Pbar, (0, 2, 1)))
 
-    w, m, P, F, mergeable = out_w[sel], out_m[sel], out_P[sel], F[sel], mergeable[sel]
-    new = size[sel] > 1
-    inv, mergeable[new] = _batched_inverses(P[new])
-    F[new] = _gate_features(m[new], inv)
-    return w, m, P, True, (F, mergeable)
+    at = np.empty(J, dtype=np.intp)
+    at[sel] = np.arange(sel.shape[0])
+    at = at[heads]  # the heads' output rows
+    w, m, P, rowF, cid = w[sel], m[sel], P[sel], rowF[sel], cid[sel]
+    w[at], m[at], P[at] = tot, mbar, Pbar
+    inv, new_ok = _batched_inverses(Pbar)
+    cid[at] = A.shape[0] + np.arange(nh)
+    rowF[at] = _row_features(mbar, inv, np.arange(nh))
+    return w, m, P, True, (rowF, cid, np.concatenate([A, inv]), np.concatenate([ok, new_ok]))
 
 
 def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixture:
@@ -307,9 +343,14 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
     only with identical bits) is inverted once, per-matrix LAPACK giving
     every member the bits an `inv` of the whole stack would; later sweeps
     invert only merged heads: 88k inverses a `dense_clutter` cycle, not 627k.
+
+    Memory: a sweep's state is 15 features and a covariance id per row, 128
+    bytes for d = 4, plus one inverse per table entry; the pivot features,
+    another 120 bytes a row, live for one sweep. A mixture with no weight
+    below trunc_threshold is not copied.
     """
     keep = mix.w >= cfg.trunc_threshold
-    w, m, P = mix.w[keep], mix.m[keep], mix.P[keep]
+    w, m, P = (mix.w, mix.m, mix.P) if keep.all() else (mix.w[keep], mix.m[keep], mix.P[keep])
     # One inverse per bitwise-distinct covariance: rows sorted by a weighted
     # sum of their 32-bit words are grouped where neighbours match bit for bit.
     J, d = m.shape
@@ -318,10 +359,11 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
     bits = bits[srt]
     first = np.ones(J, dtype=bool)
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    back = np.empty(J, dtype=np.intp)
-    back[srt] = np.cumsum(first) - 1
-    inv, mergeable = _batched_inverses(P[srt[first]])
-    state = _gate_features(m, inv[back]), mergeable[back]
+    del bits
+    cid = np.empty(J, dtype=np.intp)
+    cid[srt] = np.cumsum(first) - 1
+    inv, ok = _batched_inverses(P[srt[first]])
+    state = _row_features(m, inv, cid), cid, inv, ok
     while w.shape[0] > 1:
         w, m, P, merged_any, state = _merge_pass(w, m, P, state, cfg.merge_threshold)
         if not merged_any:

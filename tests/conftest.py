@@ -1,0 +1,21 @@
+"""Helpers shared by the test modules."""
+
+import tracemalloc
+
+import pytest
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes tracemalloc sees allocated during one call of fn, counted
+    from its entry; what the call returns is counted too."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -6,11 +6,13 @@ import io
 import numpy as np
 import pytest
 
+from spawncphd import experiment
 from spawncphd.cardinality import _binomial_table, _predict_tables
 from spawncphd.config import CSV_HEADER, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
 from spawncphd.gaussian import ReductionConfig
+from spawncphd.sim import GroundTruth
 from spawncphd.spawning import bell_coefficients
 
 EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
@@ -157,6 +159,27 @@ class TestRunOne:
         both = run_one(small_config(models=("zip", "birth")), 1)
         assert both[:30] == only
         assert {r.split(",")[2] for r in both[30:]} == {"birth"}
+
+    def test_truth_per_scan_is_formed_once(self, monkeypatch):
+        # Every model reads the same per-scan truth, formed once per scan: the
+        # scan generator and the metrics read each scan's states once each,
+        # however many models run. Two models give the rows each gives alone.
+        alone = [row for m in ("zip", "birth") for row in run_one(small_config(models=(m,)), 1)]
+        calls = {"states_at": 0, "ideal": 0}
+        states_at, ideal = GroundTruth.states_at, experiment.ideal_cardinality
+
+        def counting_states_at(truth, t):
+            calls["states_at"] += 1
+            return states_at(truth, t)
+
+        def counting_ideal(n, n_max):
+            calls["ideal"] += 1
+            return ideal(n, n_max)
+
+        monkeypatch.setattr(GroundTruth, "states_at", counting_states_at)
+        monkeypatch.setattr(experiment, "ideal_cardinality", counting_ideal)
+        assert run_one(small_config(models=("zip", "birth")), 1) == alone
+        assert calls == {"states_at": 2 * 30, "ideal": 30}
 
     def test_runs_differ(self):
         cfg = small_config(models=("zip",))
