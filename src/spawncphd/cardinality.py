@@ -133,14 +133,10 @@ class BellCoefficients:
 
 def poisson_pmf(rate: float, n_max: int) -> np.ndarray:
     """Poisson pmf on 0..n_max, unnormalized (mass beyond n_max is dropped)."""
-    if rate < 0.0:
-        raise DomainError(f"negative rate {rate}")
+    if not rate >= 0.0:
+        raise DomainError(f"rate {rate} is negative or NaN")
     if rate > MAX_RATE:
         raise DomainError(f"rate {rate} exceeds {MAX_RATE:.1f}: exp(-rate) underflows")
-    if rate == 0.0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
     # p[n] = p[n-1] rate / n: no factorial, no exp of a large argument
     return np.multiply.accumulate(np.append(np.exp(-rate), rate / np.arange(1, n_max + 1)))
 

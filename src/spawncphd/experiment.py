@@ -11,7 +11,6 @@ worker processes produced them.
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
 
@@ -109,7 +108,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     if jobs == 1:
         runs = [run_one(cfg, i) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Workers are fresh interpreters: fork is unsafe once BLAS threads run.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             runs = list(pool.map(run_one, repeat(cfg), indices))
     target = out_dir / "scans.csv"
     with open(target, "w") as fh:

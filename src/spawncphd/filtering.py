@@ -20,8 +20,10 @@ Mahalanobis form go in blocks of whole components, at most `_PAIR_BLOCK`
 pairs each, one measurement coordinate at a time (the bits of numpy's
 trailing-axis sum for k <= 7 coordinates). What stays per pair is the
 likelihood table, which becomes the detection weights in place: 8 bytes a
-pair, released before the posterior is reduced. The kept pairs go, in the
-measurement-major order the posterior lists them in, into posterior arrays
+pair, released before the posterior is reduced. The exact and the reduced
+posterior share one assembly path: the kept pairs, `np.nonzero` of the
+transposed table against a threshold (0 for the exact posterior), come
+measurement-major, as the posterior lists them, and go into posterior arrays
 allocated once: 168 bytes a kept pair for d = 4. Internally every
 association strength and the expected clutter count are rescaled by a
 common positive factor chosen to keep the polynomial terms in floating
@@ -345,10 +347,12 @@ def update(
 
     `scan` is an (M, k) array of measurements (or any object with a `.z`
     attribute holding one). `reduction=None` keeps the exact posterior
-    mixture. `likelihood_scale` overrides the internal rescaling factor; any
-    positive value yields the same posterior up to rounding. The quadratic
-    forms round as numpy's trailing-axis sum does for k <= 7 measurement
-    coordinates (pairwise from 8); every configured sensor has k = 2.
+    mixture: every weight, all >= 0, where a reduction first keeps those >=
+    its trunc_threshold, through the same assembly. `likelihood_scale`
+    overrides the internal rescaling factor; any positive value yields the
+    same posterior up to rounding. The quadratic forms round as numpy's
+    trailing-axis sum does for k <= 7 measurement coordinates (pairwise from
+    8); every configured sensor has k = 2.
 
     Memory: innovations are formed in blocks of whole components, at most
     `_PAIR_BLOCK` pairs where a component allows, and the means of kept
@@ -438,22 +442,15 @@ def update(
     r_miss = float(ups1 @ rho) / den
     w_miss = r_miss * qd * mix.w
 
-    if reduction is not None:
-        keep_m = w_miss >= reduction.trunc_threshold
-    else:
-        keep_m = np.ones(J, dtype=bool)
-    if M > 0 and p_d > 0.0:
-        ratio_det = loo_c / den  # (M,)
-        # Detection weights in place: w_j q_ji, times s p_d V, times ratio_det[i].
+    # One assembly path: the exact posterior keeps every weight, all >= 0.
+    thr = 0.0 if reduction is None else reduction.trunc_threshold
+    keep_m = w_miss >= thr
+    if p_d > 0.0:  # p_d = 0: no detection rows, not even exact zero-weight ones
+        # Detection weights in place: w_j q_ji, times s p_d V, times loo_c[i] / den.
         q *= mix.w[:, None]
         q *= s * p_d * V
-        q *= ratio_det
-        if reduction is not None:
-            j_comp, i_meas = np.nonzero(q >= reduction.trunc_threshold)
-            srt = np.argsort(i_meas * J + j_comp)  # measurement-major, as listed
-            i_meas, j_comp = i_meas[srt], j_comp[srt]
-        else:
-            i_meas, j_comp = np.divmod(np.arange(M * J), J)
+        q *= loo_c / den
+        i_meas, j_comp = np.nonzero(q.T >= thr)  # measurement-major, as listed
     else:
         i_meas = j_comp = np.empty(0, dtype=np.intp)
 
@@ -486,6 +483,4 @@ def extract_estimates(state: FilterState) -> tuple[int, np.ndarray]:
     """
     n = map_estimate(state.cardinality)
     mix = state.intensity
-    J = len(mix)
-    order = np.lexsort((np.arange(J), -mix.w))[: min(n, J)]
-    return n, mix.m[order]
+    return n, mix.m[np.argsort(-mix.w, kind="stable")[:n]]

@@ -107,7 +107,7 @@ class ReductionConfig:
             if not (np.isfinite(value) and value >= 0.0):
                 raise InvalidModelError(f"{name} = {value!r} must be finite and >= 0")
         n = self.max_components
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
             raise InvalidModelError(f"max_components = {n!r} must be an integer >= 1")
 
 
@@ -249,7 +249,7 @@ def _merge_pass(
     colmax = np.abs(colF).max(axis=0)
     mergeable = ok[cid]
 
-    order = np.lexsort((np.arange(J), -w))
+    order = np.argsort(-w, kind="stable")
     rows = np.flatnonzero(mergeable)
     band = _GATE_BAND * (1.0 + np.abs(rowF[rows]) @ colmax)
     free = np.ones(J, dtype=bool)
@@ -352,10 +352,13 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
     keep = mix.w >= cfg.trunc_threshold
     w, m, P = (mix.w, mix.m, mix.P) if keep.all() else (mix.w[keep], mix.m[keep], mix.P[keep])
     # One inverse per bitwise-distinct covariance: rows sorted by a weighted
-    # sum of their 32-bit words are grouped where neighbours match bit for bit.
+    # sum of their 32-bit words are grouped where neighbours match bit for bit;
+    # einsum sums in int64 without an int64 copy of the words.
     J, d = m.shape
     bits = P.reshape(J, d * d).view(np.int64)
-    srt = np.argsort(bits.view(np.int32) @ np.arange(1, 4 * d * d, 2))
+    srt = np.argsort(
+        np.einsum("ij,j->i", bits.view(np.int32), np.arange(1, 4 * d * d, 2), dtype=np.int64)
+    )
     bits = bits[srt]
     first = np.ones(J, dtype=bool)
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)

@@ -403,6 +403,10 @@ class TestCardinalityDistribution:
         with pytest.raises(DomainError, match=r"exceeds 708\.4"):
             poisson_pmf(np.nextafter(MAX_RATE, np.inf), 20)
 
+    def test_nan_poisson_rate_rejected_by_name(self):
+        with pytest.raises(DomainError, match=r"rate nan is negative or NaN"):
+            poisson_pmf(math.nan, 20)
+
     def test_negative_probs_rejected(self):
         with pytest.raises(DomainError):
             CardinalityDistribution(np.array([0.5, -0.1, 0.6]))

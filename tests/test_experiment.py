@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +241,24 @@ class TestRunExperiment:
         a = run_experiment(cfg, tmp_path / "serial", jobs=1).read_bytes()
         b = run_experiment(cfg, tmp_path / "par", jobs=2).read_bytes()
         assert a == b
+
+    def test_serial_runs_load_no_process_pool(self):
+        # The pool and its spawn context are imported only when jobs > 1.
+        code = (
+            "import sys, spawncphd.config, spawncphd.experiment\n"
+            "bad = sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules))\n"
+            "assert not bad, bad\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSummarize:

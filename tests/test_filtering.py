@@ -352,15 +352,16 @@ class TestUpdate:
         assert any("consistency" in r.message for r in caplog.records)
 
 
-def origin_target_in_clutter():
-    """One target at the origin and 400 uniform clutter points, 10 m noise."""
+def origin_target_in_clutter(clutter_rate=400.0):
+    """One target at the origin and `clutter_rate` uniform clutter points,
+    10 m noise."""
     state = FilterState(
         GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None]),
         CardinalityDistribution.poisson(1.0, 20),
     )
-    sensor = SensorModel.position_sensor(10.0, 0.95, 400.0, FOV)
-    z = np.concatenate([[[0.0, 0.0]], np.random.default_rng(0).uniform(-1000.0, 1000.0, (400, 2))])
-    return state, z, sensor
+    sensor = SensorModel.position_sensor(10.0, 0.95, clutter_rate, FOV)
+    clutter = np.random.default_rng(0).uniform(-1000.0, 1000.0, (int(clutter_rate), 2))
+    return state, np.concatenate([[[0.0, 0.0]], clutter]), sensor
 
 
 class TestKnownFailingUpdates:
@@ -372,6 +373,13 @@ class TestKnownFailingUpdates:
         # The default scale 1/max(assoc) leaves u_c = 0.065, and u_c ** 401
         # underflows the normalizer.
         update(*origin_target_in_clutter())
+
+    @pytest.mark.xfail(raises=NumericalError, strict=True)
+    def test_target_in_clutter_2000_default_scale(self):
+        # The clutter rate of `dense_clutter` at 10 m noise, where that
+        # workload runs 30 m: the default scale leaves u_c = 0.66, and
+        # u_c ** 2001 underflows the normalizer.
+        update(*origin_target_in_clutter(2000.0))
 
     def test_target_in_dense_clutter_explicit_scale(self):
         post = update(*origin_target_in_clutter(), likelihood_scale=1.0 / 400.0)
@@ -707,7 +715,7 @@ class TestUpdateBitIdentity:
         "p_d, n_max",
         [
             pytest.param(p_d, n_max, id=f"{p_d}" + ("" if n_max == 20 else f"-n_max{n_max}"))
-            for p_d in (0.9, 1.0)
+            for p_d in (0.0, 0.9, 1.0)
             for n_max in (20, 100)
         ],
     )

@@ -223,6 +223,7 @@ class TestReductionConfig:
             ({"trunc_threshold": -5.0}, "trunc_threshold"),
             ({"merge_threshold": -1.0}, "merge_threshold"),
             ({"merge_threshold": math.inf}, "merge_threshold"),
+            ({"max_components": True}, "max_components"),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, field):
