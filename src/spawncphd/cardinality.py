@@ -11,8 +11,8 @@ at most 1. The slower `pgf_compose_oracle` is an independent check.
 
 One cached table C(n, j) x^(n-j) is the kernel of the prediction (x = q_0),
 of survival thinning (x = 1 - p_s) and of the CPHD count update (x = 1 - p_d,
-as n!/(n-j)! = j! C(n, j)). Only the update's degree vector scales by j!, so
-counts stop at `MAX_COUNT` there: 171! overflows float64.
+as n!/(n-j)! = j! C(n, j)). Counts stop at `MAX_COUNT`, the range the count
+oracles cover; C(n, n/2) overflows float64 at n = 1030.
 """
 
 from __future__ import annotations
@@ -27,17 +27,14 @@ from .errors import DomainError, InvalidModelError, NumericalError
 
 log = logging.getLogger(__name__)
 
-MAX_COUNT = 170  # 171! overflows float64
+MAX_COUNT = 500  # largest n_max: the range the count oracles cover
 MAX_RATE = -float(np.log(np.finfo(float).tiny))  # ~708.4: exp(-rate) stays normal
 
 
 def _factorials(n: int) -> np.ndarray:
-    if n > MAX_COUNT:
-        raise DomainError(f"count {n} exceeds {MAX_COUNT}: {n}! overflows float64")
-    out = np.ones(n + 1)
-    if n >= 1:
-        out[1:] = np.cumprod(np.arange(1, n + 1, dtype=float))
-    return out
+    if n > 170:
+        raise DomainError(f"count {n} exceeds 170: {n}! overflows float64")
+    return np.cumprod(np.append(1.0, np.arange(1.0, n + 1)))
 
 
 def _pascal(n: int) -> np.ndarray:
@@ -281,17 +278,20 @@ def convolve_counts(rho: CardinalityDistribution, pmf) -> CardinalityDistributio
 def count_update_tables(N: int, M: int, qd: float, u_c: float, s_w: float) -> tuple:
     """Tables over (order j <= min(M, N), count n) of the CPHD count update
     (Vo, Vo & Cantoni, IEEE TSP 55(7), 2007), with B the (N, qd) binomial
-    table: C0[j] = u_c^(M-j) j! / s_w^j B[j], C1[j] = u_c^(M-j) (j+1)! /
-    s_w^(j+1) B[j+1], and Cm is C1 with u_c^(M-1-j) in front, 0 for j >= M.
-    M is the measurement count, qd = 1 - p_d, u_c the scaled clutter count
-    and s_w the intensity mass."""
+    table and W_j = u_c^(M-j) j! / s_w^j: C0[j] = W_j B[j], C1[j] = W_j (j+1)
+    / s_w B[j+1] and Cm[j] = W_(j+1) B[j+1], 0 for j >= M; qd = 1 - p_d, u_c
+    the scaled clutter count, s_w the intensity mass. Row j holds W_j / u_c^M
+    (W_j if u_c = 0, where only W_M is nonzero) as a mantissa times 2^x[j],
+    2^x[j+1] in Cm, so no degree over- or underflows."""
     K = min(M, N)
     B = _binomial_table(N, qd)
-    # Row N + 1 of B is zero, so its degree weight is 0 rather than (N+1)!.
-    fact = np.append(_factorials(min(K + 1, N)), 0.0)[: K + 2]
-    j = np.arange(K + 1)
-    deg = fact * (1.0 / s_w) ** np.arange(K + 2)
-    C0 = (u_c ** (M - j) * deg[: K + 1])[:, None] * B[: K + 1]
-    C1 = (u_c ** (M - j) * deg[1:])[:, None] * B[1 : K + 2]
-    Cm = (np.where(j <= M - 1, u_c ** np.clip(M - 1 - j, 0, None), 0.0) * deg[1:])[:, None]
-    return C0, C1, Cm * B[1 : K + 2]
+    j = np.arange(K + 2)
+    # j! / (a s_w)^j, a = u_c or 1, by ratios (j + 1) / (a s_w): mantissas stay >= 2^-(K+1)
+    (ma, ea), (mw, ew) = np.frexp(u_c if u_c > 0.0 else 1.0), np.frexp(s_w)
+    r, re = np.frexp(j[1:] / (ma * mw))
+    mant, x = np.frexp(np.cumprod(np.append(1.0, r)))
+    x += np.append(0, np.cumsum(re)) - j * (ea + ew)
+    mant = np.where((j == M) | (u_c > 0.0), mant, 0.0)
+    C0 = mant[: K + 1, None] * B[: K + 1]
+    C1 = (mant[: K + 1] * (j[1:] / s_w))[:, None] * B[1 : K + 2]
+    return C0, C1, np.where(j[:-1] < M, mant[1:], 0.0)[:, None] * B[1 : K + 2], x

@@ -10,8 +10,8 @@ The update propagates the count distribution jointly with the intensity:
 elementary symmetric functions (ESF) of the per-measurement association
 strengths contract with `cardinality.count_update_tables`: rows of the
 binomial table C(n, j) (1 - p_d)^(n-j) that also drives both predictions (the
-paper's Bell factorials cancel exactly), times a degree vector
-u_c^(M-j) j! / s_w^j, the filter's only factorial. A detection's
+paper's Bell factorials cancel exactly), times degree weights
+u_c^(M-j) j! / s_w^j held as mantissas and powers of two. A detection's
 weight needs one contraction of its leave-one-out ESF, which prefix and
 suffix tables give as one GEMM with a Hankel matrix, without the
 cancellation of polynomial deflation (see `_esf_leave_one_out`). All per-measurement and per-component work is
@@ -24,11 +24,10 @@ pair, released before the posterior is reduced. The exact and the reduced
 posterior share one assembly path: the kept pairs, `np.nonzero` of the
 transposed table against a threshold (0 for the exact posterior), come
 measurement-major, as the posterior lists them, and go into posterior arrays
-allocated once: 168 bytes a kept pair for d = 4. Internally every
-association strength and the expected clutter count are rescaled by a
-common positive factor chosen to keep the polynomial terms in floating
-range. The posterior is provably invariant to that factor, which
-`likelihood_scale` exposes for testing.
+allocated once: 168 bytes a kept pair for d = 4. The association
+strengths and the clutter count are divided by the largest of them (or 1);
+the ESF and the contraction coefficients each by one power of two, which the
+detection weights undo exactly.
 """
 
 from __future__ import annotations
@@ -341,18 +340,17 @@ def update(
     scan,
     sensor: SensorModel,
     reduction: ReductionConfig | None = DEFAULT_REDUCTION,
-    likelihood_scale: float | None = None,
 ) -> FilterState:
     """Measurement update of intensity and count distribution.
 
     `scan` is an (M, k) array of measurements (or any object with a `.z`
     attribute holding one). `reduction=None` keeps the exact posterior
     mixture: every weight, all >= 0, where a reduction first keeps those >=
-    its trunc_threshold, through the same assembly. `likelihood_scale`
-    overrides the internal rescaling factor; any positive value yields the
-    same posterior up to rounding. The quadratic forms round as numpy's
-    trailing-axis sum does for k <= 7 measurement coordinates (pairwise from
-    8); every configured sensor has k = 2.
+    its trunc_threshold, through the same assembly. The quadratic forms
+    round as numpy's trailing-axis sum does for k <= 7 measurement
+    coordinates (pairwise from 8); every configured sensor has k = 2. A
+    `NumericalError` is raised if the strengths' ESF (e_K <= C(M, K)) overflow
+    float64 or the scan has zero likelihood under the predicted counts.
 
     Memory: innovations are formed in blocks of whole components, at most
     `_PAIR_BLOCK` pairs where a component allows, and the means of kept
@@ -379,21 +377,13 @@ def update(
     qd = 1.0 - p_d
     V = sensor.fov.area
 
-    if likelihood_scale is not None:
-        s = float(likelihood_scale)
-        if not s > 0.0:
-            raise DomainError(f"likelihood scale {s} must be positive")
-    else:
-        s = None  # resolved once association strengths are known
-
     if J == 0 or s_w <= 0.0:
         # No spatial mass: every measurement must be clutter.
         if M > 0 and lam_c == 0.0:
             raise NumericalError("measurements received but neither targets nor clutter possible")
         vals = _binomial_table(N, qd)[0] * rho  # qd^n
-        den = float(np.cumsum(vals)[-1]) if vals.size else 0.0
-        if not np.isfinite(den) or den <= 0.0:
-            raise NumericalError("count update normalizer is zero or non-finite")
+        if not np.cumsum(vals)[-1] > 0.0:
+            raise NumericalError("the scan has zero likelihood under the predicted counts")
         post = FilterState(
             GaussianMixture.empty(mix.dim if J else sensor.H.shape[1]),
             CardinalityDistribution(vals, normalize=True),
@@ -424,19 +414,28 @@ def update(
     q /= norm[:, None]
     assoc = p_d * (mix.w @ q) * V  # association strength per measurement
 
-    if s is None:
-        s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
+    s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
     u = s * assoc
     u_c = s * lam_c
 
-    C0, C1, Cm = count_update_tables(N, M, qd, u_c, s_w)
-    e_full, loo_c = _esf_leave_one_out(u, min(M, N), Cm @ rho)
+    C0, C1, Cm, x = count_update_tables(N, M, qd, u_c, s_w)
+    cm = Cm @ rho  # its largest term 2^x[j+1] cm[j] is scaled near 1 by 2^-cx
+    cx = np.max(np.frexp(cm)[1] + x[1:], where=cm > 0.0, initial=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        e_full, loo_c = _esf_leave_one_out(u, min(M, N), np.ldexp(cm, x[1:] - cx))
+    if not (np.isfinite(e_full).all() and np.isfinite(loo_c).all()):
+        raise NumericalError(
+            f"ESF of {M} association strengths overflow float64 (degree <= {min(M, N)})"
+        )
+    t = e_full * np.diagonal(C0)  # the terms e_j W_j: C0[j, j] is W_j's mantissa
+    c = np.max(np.frexp(t)[1] + x[:-1], where=t > 0.0, initial=0)
+    e_full = np.ldexp(e_full, x[:-1] - c)
     ups0 = e_full @ C0  # (N+1,)
     ups1 = e_full @ C1
 
     den = float(ups0 @ rho)
-    if not np.isfinite(den) or den <= 0.0:
-        raise NumericalError("count update normalizer is zero or non-finite")
+    if not den > 0.0:
+        raise NumericalError("the scan has zero likelihood under the predicted counts")
     rho_new = CardinalityDistribution(ups0 * rho, normalize=True)
 
     r_miss = float(ups1 @ rho) / den
@@ -446,10 +445,11 @@ def update(
     thr = 0.0 if reduction is None else reduction.trunc_threshold
     keep_m = w_miss >= thr
     if p_d > 0.0:  # p_d = 0: no detection rows, not even exact zero-weight ones
-        # Detection weights in place: w_j q_ji, times s p_d V, times loo_c[i] / den.
+        # Detection weights in place: w_j q_ji, times s p_d V, times loo_c[i] / den, unshifted.
         q *= mix.w[:, None]
         q *= s * p_d * V
-        q *= loo_c / den
+        dm, de = np.frexp(den)
+        q *= np.ldexp(loo_c / dm, cx - c - de)
         i_meas, j_comp = np.nonzero(q.T >= thr)  # measurement-major, as listed
     else:
         i_meas = j_comp = np.empty(0, dtype=np.intp)

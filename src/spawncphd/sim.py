@@ -78,7 +78,7 @@ class ScenarioConfig:
         if self.n_scans < 1:
             raise ConfigError(f"n_scans = {self.n_scans} must be positive")
         if not 0 <= self.n_max <= MAX_COUNT:
-            raise ConfigError(f"n_max = {self.n_max} outside 0..{MAX_COUNT} (float64 n! limit)")
+            raise ConfigError(f"n_max = {self.n_max} outside 0..{MAX_COUNT}, the tested range")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt = {self.dt} must be finite and positive")
         for key in ("accel_std", "noise_std", "kernel_std", "daughter_vel_std",

@@ -1,8 +1,13 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the hypothesis profile."""
 
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+
+# Repeatable property tests: the same examples on every run, no deadline.
+settings.register_profile("repeatable", deadline=None, derandomize=True, max_examples=50)
+settings.load_profile("repeatable")
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:

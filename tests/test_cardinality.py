@@ -345,18 +345,39 @@ class TestCachedTablesBitIdentity:
 
 
 class TestCountUpdateTables:
-    @pytest.mark.parametrize("N, M", [(171, 171), (300, 170), (500, 600)])
-    def test_degrees_beyond_float64_factorials_refused(self, N, M):
-        # The update's degree weights reach (min(M, N) + 1)!, capped at N!
-        # because row N + 1 of the binomial table is zero.
-        with pytest.raises(DomainError, match=rf"{min(M + 1, N)}! overflows float64"):
-            count_update_tables(N, M, 0.1, 0.5, 3.0)
-
-    @pytest.mark.parametrize("N, M", [(170, 169), (170, 170), (170, 400), (300, 169)])
-    def test_largest_degrees_within_float64(self, N, M):
-        for table in count_update_tables(N, M, 0.1, 0.5, 3.0):
+    @pytest.mark.parametrize("N, M", [(171, 171), (300, 170), (500, 600), (500, 2000)])
+    def test_degrees_beyond_float64_factorials(self, N, M):
+        # The degree weights reach (min(M, N) + 1)! / s_w^(K+1), past float64
+        # from 171! on: each table row holds a mantissa, x its power of two.
+        C0, C1, Cm, x = count_update_tables(N, M, 0.1, 0.5, 3.0)
+        for table in (C0, C1, Cm):
             assert table.shape == (min(M, N) + 1, N + 1)
             assert np.all(np.isfinite(table))
+        assert x.shape == (min(M, N) + 2,) and np.issubdtype(x.dtype, np.integer)
+
+    @pytest.mark.parametrize(
+        "N, M, u_c", [(20, 12, 0.5), (20, 12, 0.0), (170, 169, 0.9), (170, 400, 0.99), (300, 169, 0.9)]
+    )
+    def test_weights_equal_float_weights(self, N, M, u_c):
+        # The float weights W_j = u_c^(M-j) j! / s_w^j, (j+1) W_j / s_w and
+        # W_(j+1) of C0, C1 and Cm, where they are normal floats, against
+        # mantissa times 2^x times the dropped u_c^M. The mantissas stand at
+        # counts n = j and j + 1, where the binomial table holds 1.
+        s_w, tiny = 3.0, np.finfo(float).tiny
+        C0, C1, Cm, x = count_update_tables(N, M, 0.1, u_c, s_w)
+        common = u_c**M if u_c > 0.0 else 1.0
+        for j in range(min(M, N, 169) + 1):
+            old = [
+                u_c ** (M - j) * math.factorial(j) / s_w**j,
+                u_c ** (M - j) * math.factorial(j + 1) / s_w ** (j + 1),
+                u_c ** (M - 1 - j) * math.factorial(j + 1) / s_w ** (j + 1) if j < M else 0.0,
+            ]
+            new = [np.ldexp(C0[j, j], x[j])]
+            if j < N:
+                new += [np.ldexp(C1[j, j + 1], x[j]), np.ldexp(Cm[j, j + 1], x[j + 1])]
+            for got, want in zip(new, old):
+                if want == 0.0 or want >= tiny:
+                    assert got * common == pytest.approx(want, rel=1e-13, abs=0.0), j
 
 
 # ---------------------------------------------------------------- MAP

@@ -178,7 +178,7 @@ class TestRefusedInputs:
             ("motion", "dt = 0"),
             ("metrics", "ospa_cutoff_pos = 0"),
             ("experiment", "seed = -4"),
-            ("scenario", "n_max = 171"),
+            ("scenario", "n_max = 501"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, section, line):

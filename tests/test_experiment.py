@@ -16,7 +16,7 @@ from spawncphd.config import CSV_HEADER, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
 from spawncphd.gaussian import ReductionConfig
-from spawncphd.sim import GroundTruth
+from spawncphd.sim import GroundTruth, ScenarioConfig
 from spawncphd.spawning import bell_coefficients
 
 EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
@@ -184,6 +184,20 @@ class TestRunOne:
         monkeypatch.setattr(experiment, "ideal_cardinality", counting_ideal)
         assert run_one(small_config(models=("zip", "birth")), 1) == alone
         assert calls == {"states_at": 2 * 30, "ideal": 30}
+
+    def test_stock_scene_in_clutter_500(self):
+        # The one global likelihood scale left u_c^(M-j) to underflow the
+        # count update's normalizer here, for zip and birth alike.
+        cfg = small_config(scenario=ScenarioConfig(n_scans=30, clutter_rate=500.0))
+        assert len(run_one(cfg, 0)) == 60
+
+    def test_counts_beyond_float64_factorials(self, tmp_path):
+        # The update's degree weights hold j!, which ended n_max at 170.
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[scenario]\nn_scans = 30\nn_max = 200\n[experiment]\nmodels = zip, birth\n")
+        cfg = load_config(str(ini))
+        assert cfg.scenario.n_max == 200
+        assert len(run_one(cfg, 0)) == 60
 
     def test_runs_differ(self):
         cfg = small_config(models=("zip",))

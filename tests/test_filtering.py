@@ -4,7 +4,9 @@ import itertools
 import logging
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from spawncphd.cardinality import (
     _factorials,
     predict_cardinality,
 )
-from spawncphd.errors import ConfigError, DomainError, NumericalError
+from spawncphd.errors import ConfigError, NumericalError
 from spawncphd.filtering import (
     DEFAULT_REDUCTION,
     BirthModel,
@@ -309,18 +311,6 @@ class TestUpdate:
             post.intensity.total_weight, post.cardinality.mean, rtol=1e-10
         )
 
-    def test_likelihood_rescaling_is_invariant(self):
-        rng = np.random.default_rng(409)
-        state = two_target_state()
-        scan = rng.uniform(-800.0, 800.0, size=(9, 2))
-        a = update(state, scan, SENSOR, reduction=None, likelihood_scale=1.0)
-        b = update(state, scan, SENSOR, reduction=None, likelihood_scale=13.7)
-        c = update(state, scan, SENSOR, reduction=None)
-        np.testing.assert_allclose(a.intensity.w, b.intensity.w, rtol=1e-11)
-        np.testing.assert_allclose(a.cardinality.probs, b.cardinality.probs, rtol=1e-11, atol=1e-16)
-        np.testing.assert_allclose(a.intensity.w, c.intensity.w, rtol=1e-11)
-        np.testing.assert_allclose(a.cardinality.probs, c.cardinality.probs, rtol=1e-11, atol=1e-16)
-
     def test_zero_clutter_with_measurements_needs_full_detection(self):
         state = two_target_state()
         sensor = SensorModel.position_sensor(10.0, p_d=0.9, clutter_rate=0.0, fov=FOV)
@@ -340,8 +330,18 @@ class TestUpdate:
         mix = GaussianMixture(np.array([20.0]), np.zeros((1, 4)), np.stack([np.eye(4)]))
         state = FilterState(mix, CardinalityDistribution.delta(20, 20))
         sensor = SensorModel.position_sensor(10.0, p_d=1.0, clutter_rate=1e-12, fov=FOV)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="zero likelihood under the predicted counts"):
             update(state, np.empty((0, 2)), sensor, reduction=None)
+
+    def test_esf_overflow_names_its_limit(self):
+        # 3,000 measurements on one component's mean, all of strength 1: e_K
+        # is C(3000, K), past float64 from K = 192 on. 600 of them stay finite.
+        mix = GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None])
+        state = FilterState(mix, CardinalityDistribution(np.ones(501), normalize=True))
+        sensor = SensorModel.position_sensor(10.0, 0.95, 10.0, FOV)
+        update(state, np.zeros((600, 2)), sensor)
+        with pytest.raises(NumericalError, match=r"ESF of 3000 association strengths overflow float64 \(degree <= 500\)"):
+            update(state, np.zeros((3000, 2)), sensor)
 
     def test_reduction_losses_trip_consistency_warning(self, caplog):
         state = two_target_state()
@@ -364,39 +364,43 @@ def origin_target_in_clutter(clutter_rate=400.0):
     return state, np.concatenate([[[0.0, 0.0]], clutter]), sensor
 
 
-class TestKnownFailingUpdates:
-    """Valid scenes whose count update still fails. Each xfail names the error
-    it raises today, so a fix of the count arithmetic has to flip it."""
+class TestCountUpdateRange:
+    """Valid scenes whose count update failed while one global scale had to
+    keep every degree weight u_c^(M-j) j! / s_w^j in float64 range."""
 
-    @pytest.mark.xfail(raises=NumericalError, strict=True)
-    def test_target_in_dense_clutter_default_scale(self):
-        # The default scale 1/max(assoc) leaves u_c = 0.065, and u_c ** 401
-        # underflows the normalizer.
-        update(*origin_target_in_clutter())
-
-    @pytest.mark.xfail(raises=NumericalError, strict=True)
-    def test_target_in_clutter_2000_default_scale(self):
-        # The clutter rate of `dense_clutter` at 10 m noise, where that
-        # workload runs 30 m: the default scale leaves u_c = 0.66, and
-        # u_c ** 2001 underflows the normalizer.
-        update(*origin_target_in_clutter(2000.0))
-
-    def test_target_in_dense_clutter_explicit_scale(self):
-        post = update(*origin_target_in_clutter(), likelihood_scale=1.0 / 400.0)
+    def test_target_in_dense_clutter(self):
+        # The scale 1/max(assoc) leaves u_c = 0.065: u_c ** 401 underflowed
+        # the normalizer.
+        post = update(*origin_target_in_clutter())
         n, means = extract_estimates(post)
         assert n == 1
         assert np.abs(means[0, :2]).max() < 10.0
 
-    @pytest.mark.xfail(raises=RuntimeWarning, strict=True)
+    def test_target_in_clutter_2000(self):
+        # The clutter rate of `dense_clutter` at 10 m noise, where that
+        # workload runs 30 m: u_c = 0.66, and u_c ** 2001 underflowed. Counts 1
+        # and 2 are near even here (0.378 and 0.387 by the referee), so the
+        # check is the referee's pmf and the target's estimate ranked first.
+        state, z, sensor = origin_target_in_clutter(2000.0)
+        post = update(state, z, sensor)
+        assert_matches_referee(post.cardinality.probs, referee_count_update(state, z, sensor)[0])
+        assert np.abs(extract_estimates(post)[1][0, :2]).max() < 10.0
+
     def test_wide_count_little_mass_many_measurements(self):
-        # The degree vector j! / s_w^j of count_update_tables overflows at
-        # n_max 170 with s_w = 0.01 and 200 measurements.
+        # j! / s_w^j overflowed at n_max 170 with s_w = 0.01 and 200 points.
         state = FilterState(
             GaussianMixture(np.array([0.01]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None]),
             CardinalityDistribution.poisson(0.01, 170),
         )
         sensor = SensorModel.position_sensor(10.0, 0.95, 200.0, FOV)
-        update(state, np.random.default_rng(0).uniform(-1000.0, 1000.0, (200, 2)), sensor)
+        z = np.random.default_rng(0).uniform(-1000.0, 1000.0, (200, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            post = update(state, z, sensor, reduction=None)
+        probs, w_miss = referee_count_update(state, z, sensor)
+        assert_matches_referee(post.cardinality.probs, probs)
+        np.testing.assert_allclose(post.intensity.w[0], w_miss[0], rtol=1e-13, atol=0)
+        assert np.all(np.isfinite(post.intensity.w))
 
 
 def two_component_scene(k, rng):
@@ -532,12 +536,130 @@ class TestUpdateAssociationSum:
             np.testing.assert_allclose(post.intensity.w[J:], expected_det, rtol=1e-12, atol=0)
 
 
+def referee_count_update(state, z, sensor):
+    """Posterior count pmf and miss weights of the CPHD update at 50 digits.
+
+    Formed from the float inputs: Gaussian likelihoods, association strengths
+    p_d V sum_j w_j g_j(z_i), their ESF e_j by the plain recursion, and the
+    sums of Vo, Vo & Cantoni (IEEE TSP 55(7), 2007) over degrees j,
+    ups0(n) = sum_j lam_c^(M-j) n!/(n-j)! (1-p_d)^(n-j) e_j / s_w^j and
+    ups1(n) = sum_j lam_c^(M-j) n!/(n-j-1)! (1-p_d)^(n-j-1) e_j / s_w^(j+1),
+    the common clutter factor exp(-lam_c) left out. Returns (probs, w_miss)
+    as floats, or None when every term of the normalizer is zero.
+    """
+    mix, H, R = state.intensity, sensor.H, sensor.R
+    rho = state.cardinality.probs
+    N, M, k = rho.shape[0] - 1, z.shape[0], H.shape[0]
+    K = min(M, N)
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        p_d, lam = mpf(sensor.p_d), mpf(sensor.clutter_rate)
+        qd, V = 1 - p_d, mpf(sensor.fov.area)
+        w = [mpf(v) for v in mix.w]
+        s_w = sum(w)
+        comps = []  # (w_j, H m_j, S_j^-1, normalizer) per component
+        for j in range(len(mix)):
+            S = mpmath.matrix(H.tolist()) * mpmath.matrix(mix.P[j].tolist()) * mpmath.matrix(H.T.tolist())
+            S += mpmath.matrix(R.tolist())
+            Sinv = S**-1
+            comps.append((
+                w[j],
+                [mpmath.fsum(mpf(a) * mpf(b) for a, b in zip(row, mix.m[j])) for row in H],
+                [[Sinv[a, b] for b in range(k)] for a in range(k)],
+                mpmath.sqrt((2 * mpmath.pi) ** k * mpmath.det(S)),
+            ))
+        e = [mpf(1)] + [mpf(0)] * K
+        for zi in z:
+            g = 0
+            for wj, Hm, Sinv, nrm in comps:
+                d = [mpf(a) - b for a, b in zip(zi, Hm)]
+                quad = mpmath.fsum(d[a] * Sinv[a][b] * d[b] for a in range(k) for b in range(k))
+                g += wj * mpmath.exp(-quad / 2) / nrm
+            x = p_d * V * g
+            for deg in range(K, 0, -1):
+                e[deg] += x * e[deg - 1]
+        c = [lam ** (M - j) * e[j] / s_w**j for j in range(K + 1)]
+        qd_pow = [qd**i for i in range(N + 1)]
+        ups0 = [mpmath.fsum(c[j] * math.perm(n, j) * qd_pow[n - j] for j in range(min(n, K) + 1))
+                for n in range(N + 1)]
+        ups1 = [mpmath.fsum(c[j] * math.perm(n, j + 1) * qd_pow[n - j - 1] for j in range(min(n - 1, K) + 1))
+                for n in range(N + 1)]
+        rho_mp = [mpf(r) for r in rho]
+        den = mpmath.fsum(r * a for r, a in zip(rho_mp, ups0))
+        if den == 0:
+            return None
+        r_miss = mpmath.fsum(r * b for r, b in zip(rho_mp, ups1)) / (s_w * den)
+        probs = np.array([float(r * a / den) for r, a in zip(rho_mp, ups0)])
+        return probs, np.array([float(r_miss * qd * wj) for wj in w])
+
+
+def assert_matches_referee(got, probs):
+    """A count pmf within 1e-13 of the referee's. Entries below 1e-280 are
+    compared absolutely: there the float ESF underflows."""
+    tiny = probs < 1e-280
+    np.testing.assert_allclose(got[~tiny], probs[~tiny], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got[tiny], probs[tiny], rtol=0, atol=1e-280)
+
+
+def referee_scene(M, n_max, p_d, clutter_rate, s_w, seed):
+    """Three components of total weight s_w, a random count prior on
+    0..n_max, and M measurements each drawn near a component, within reach
+    of float64 likelihoods."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 1.0, 3)
+    m = np.column_stack([rng.uniform(-60.0, 60.0, (3, 2)), rng.normal(0.0, 3.0, (3, 2))])
+    mix = GaussianMixture(w * (s_w / w.sum()), m, np.stack([np.diag([50.0, 50.0, 4.0, 4.0])] * 3))
+    rho = CardinalityDistribution(rng.uniform(0.1, 1.0, n_max + 1), normalize=True)
+    sensor = SensorModel.position_sensor(8.0, p_d, clutter_rate, Rect(-100.0, 100.0, -100.0, 100.0))
+    z = m[rng.integers(0, 3, M), :2] + rng.normal(0.0, 15.0, (M, 2))
+    return FilterState(mix, rho), z, sensor
+
+
+def assert_update_matches_referee(state, z, sensor):
+    """The exact posterior's count pmf and miss weights against the referee,
+    or the typed error of a scene without a posterior."""
+    if sensor.clutter_rate == 0.0 and z.shape[0] > 0 and sensor.p_d < 1.0:
+        with pytest.raises(ConfigError):
+            update(state, z, sensor, reduction=None)
+        return
+    ref = referee_count_update(state, z, sensor)
+    if ref is None:  # more measurements than counts, and no clutter
+        with pytest.raises(NumericalError, match="zero likelihood"):
+            update(state, z, sensor, reduction=None)
+        return
+    post = update(state, z, sensor, reduction=None)
+    assert_matches_referee(post.cardinality.probs, ref[0])
+    np.testing.assert_allclose(post.intensity.w[: ref[1].shape[0]], ref[1], rtol=1e-13, atol=0)
+
+
+class TestCountReferee:
+    """`update` against the 50-digit referee, over count ranges past 170,
+    intensity masses from 1e-6 to 1e3, and the ends of p_d and clutter."""
+
+    @pytest.mark.parametrize("clutter_rate", [0.0, 2.5, 2000.0])
+    @pytest.mark.parametrize("p_d", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n_max", [0, 20, 171, 200])
+    def test_grid(self, n_max, p_d, clutter_rate):
+        for seed, (M, s_w) in enumerate(itertools.product([0, 3, 12], [1e-6, 1.0, 1e3])):
+            assert_update_matches_referee(*referee_scene(M, n_max, p_d, clutter_rate, s_w, seed))
+
+    @given(
+        st.integers(0, 8),
+        st.integers(0, 200),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2000.0),
+        st.floats(-6.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_property(self, M, n_max, p_d, clutter_rate, log_s_w, seed):
+        assert_update_matches_referee(*referee_scene(M, n_max, p_d, clutter_rate, 10.0**log_s_w, seed))
+
+
 def reference_update(
     state: FilterState,
     scan,
     sensor: SensorModel,
     reduction: ReductionConfig | None = DEFAULT_REDUCTION,
-    likelihood_scale: float | None = None,
 ) -> FilterState:
     """The update as first written: innovations broadcast over a trailing
     axis and summed back, component-major detection weights transposed into
@@ -557,13 +679,6 @@ def reference_update(
     s_w = mix.total_weight
     qd = 1.0 - p_d
     V = sensor.fov.area
-
-    if likelihood_scale is not None:
-        s = float(likelihood_scale)
-        if not s > 0.0:
-            raise DomainError(f"likelihood scale {s} must be positive")
-    else:
-        s = None  # resolved once association strengths are known
 
     if J == 0 or s_w <= 0.0:
         # No spatial mass: every measurement must be clutter.
@@ -592,8 +707,7 @@ def reference_update(
         q = np.zeros((J, 0))
         assoc = np.zeros(0)
 
-    if s is None:
-        s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
+    s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
     u = s * assoc
     u_c = s * lam_c
 
@@ -688,16 +802,24 @@ def update_scene(J, M, k, p_d, clutter_rate, seed, n_max=20):
     return state, rng.permutation(np.concatenate([near, far])), sensor
 
 
-def assert_same_update(state, scan, sensor, reduction):
-    # The count tables are rows of the binomial table times j! where the
-    # reference forms n!/(n-j)!, so outputs agree to rounding, not bit for bit.
-    # Means and covariances are compared relative to each component's largest
-    # entry: merging cancels some entries to rounding noise near 1e-29.
+def assert_same_update(state, scan, sensor, reduction, refereed=False):
+    # The count tables are rows of the binomial table times per-degree powers
+    # of two where the reference forms n!/(n-j)!, so outputs agree to
+    # rounding, not bit for bit. Means and covariances are compared relative
+    # to each component's largest entry: merging cancels some entries to
+    # rounding noise near 1e-29. Where the reference's terms u_c^(M-j)
+    # underflow (`refereed`), its count pmf is wrong: the referee judges both.
     got = update(state, scan, sensor, reduction=reduction)
     ref = reference_update(state, scan, sensor, reduction=reduction)
     assert len(got.intensity) == len(ref.intensity)
     np.testing.assert_allclose(got.intensity.w, ref.intensity.w, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
+    if refereed:
+        probs, _ = referee_count_update(state, scan, sensor)
+        assert_matches_referee(got.cardinality.probs, probs)
+        with pytest.raises(AssertionError):
+            assert_matches_referee(ref.cardinality.probs, probs)
+    else:
+        np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
     for a, b in [(got.intensity.m, ref.intensity.m), (got.intensity.P, ref.intensity.P)]:
         scale = np.abs(b).max(axis=tuple(range(1, b.ndim)), keepdims=True, initial=0.0)
         assert np.all(np.abs(a - b) <= 1e-13 * scale)
@@ -723,7 +845,9 @@ class TestUpdateBitIdentity:
         state, scan, sensor = update_scene(
             J, M, k, p_d, M + 50.0, seed=J * 1000 + M + k, n_max=n_max
         )
-        assert_same_update(state, scan, sensor, reduction)
+        # In these scenes the reference's count terms underflow.
+        refereed = (p_d, n_max, M, k) == (1.0, 100, 400, 2)
+        assert_same_update(state, scan, sensor, reduction, refereed)
 
     def test_interleaved_detection_probabilities_match_reference(self):
         # The count tables are cached; a key that missed p_d would hand one
