@@ -21,6 +21,8 @@ from .spawning import (
     PoissonSpawn,
     SpawnModel,
     ZeroInflatedPoissonSpawn,
+    _check_prob,
+    _check_rate,
 )
 
 CSV_HEADER = "run,scan,model,true_n,map_n,ospa_pos,ospa_vel,hellinger_pred,hellinger_upd"
@@ -88,8 +90,12 @@ def _as_float(text: str, where: str) -> float:
         raise ConfigError(f"{where} = {text!r} is not a number") from None
 
 
+def _as_prob(text: str, where: str) -> float:
+    return _check_prob(_as_float(text, where), where)
+
+
 def _as_rate(text: str, where: str) -> float:
-    if (value := _as_float(text, where)) > MAX_RATE:
+    if (value := _check_rate(_as_float(text, where), where)) > MAX_RATE:
         raise ConfigError(f"{where} = {value} exceeds {MAX_RATE:.1f}: exp(-rate) underflows")
     return value
 
@@ -101,8 +107,8 @@ def _as_models(text: str, where: str) -> tuple:
     return names
 
 
-# section -> key -> (destination, caster). Destinations starting with
-# "scenario." land on ScenarioConfig, the rest on ExperimentConfig.
+# section -> key -> (destination, caster). "group.field" lands on ScenarioConfig,
+# its region or the ReductionConfig; a bare field lands on ExperimentConfig.
 _SCHEMA = {
     "scenario": {
         "n_scans": ("scenario.n_scans", _as_int),
@@ -116,10 +122,10 @@ _SCHEMA = {
     "motion": {
         "dt": ("scenario.dt", _as_float),
         "accel_std": ("scenario.accel_std", _as_float),
-        "p_s": ("scenario.p_s", _as_float),
+        "p_s": ("scenario.p_s", _as_prob),
     },
     "sensor": {
-        "p_d": ("scenario.p_d", _as_float),
+        "p_d": ("scenario.p_d", _as_prob),
         "noise_std": ("scenario.noise_std", _as_float),
         "clutter_rate": ("scenario.clutter_rate", _as_float),
     },
@@ -127,13 +133,13 @@ _SCHEMA = {
         "kernel_std": ("scenario.kernel_std", _as_float),
     },
     "spawn.bernoulli": {
-        "prob": ("bernoulli_prob", _as_float),
+        "prob": ("bernoulli_prob", _as_prob),
     },
     "spawn.poisson": {
         "rate": ("poisson_rate", _as_rate),
     },
     "spawn.zip": {
-        "prob": ("zip_prob", _as_float),
+        "prob": ("zip_prob", _as_prob),
         "rate": ("zip_rate", _as_rate),
     },
     "birth": {
@@ -158,10 +164,7 @@ _SCHEMA = {
 
 def load_config(path=None) -> ExperimentConfig:
     """Build an ExperimentConfig, applying INI overrides when a path is given."""
-    scenario_kw: dict = {}
-    region_kw: dict = {}
-    reduction_kw: dict = {}
-    top_kw: dict = {}
+    groups: dict = {"": {}, "scenario": {}, "region": {}, "reduction": {}}
 
     if path is not None:
         if not os.path.isfile(path):
@@ -180,25 +183,16 @@ def load_config(path=None) -> ExperimentConfig:
                 if key not in keys:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
                 dest, cast = keys[key]
-                value = cast(raw, f"[{section}] {key}")
-                if dest.startswith("scenario."):
-                    scenario_kw[dest.split(".", 1)[1]] = value
-                elif dest.startswith("region."):
-                    region_kw[dest.split(".", 1)[1]] = value
-                elif dest.startswith("reduction."):
-                    reduction_kw[dest.split(".", 1)[1]] = value
-                else:
-                    top_kw[dest] = value
+                group, _, name = dest.rpartition(".")
+                try:
+                    groups[group][name] = cast(raw, f"[{section}] {key}")
+                except InvalidModelError as exc:  # a model's own range check
+                    raise ConfigError(str(exc)) from None
 
-    if region_kw:
-        base = ScenarioConfig().region
-        scenario_kw["region"] = dataclasses.replace(base, **region_kw)
-    scenario = ScenarioConfig(**scenario_kw)
-    if reduction_kw:
-        try:
-            top_kw["reduction"] = dataclasses.replace(
-                ExperimentConfig().reduction, **reduction_kw
-            )
-        except InvalidModelError as exc:
-            raise ConfigError(f"[experiment] {exc}") from None
-    return ExperimentConfig(scenario=scenario, **top_kw)
+    region = dataclasses.replace(ScenarioConfig().region, **groups["region"])
+    scenario = ScenarioConfig(region=region, **groups["scenario"])
+    try:
+        reduction = dataclasses.replace(DEFAULT_REDUCTION, **groups["reduction"])
+    except InvalidModelError as exc:
+        raise ConfigError(f"[experiment] {exc}") from None
+    return ExperimentConfig(scenario=scenario, reduction=reduction, **groups[""])

@@ -67,15 +67,14 @@ def run_one(cfg: ExperimentConfig, run_idx: int) -> list:
     """All CSV rows (no header) for one measurement-noise realization."""
     scenario = cfg.scenario
     truth = generate_truth(scenario, _truth_rng(cfg.seed))
-    scans = generate_measurements(truth, scenario, _measurement_rng(cfg.seed, run_idx))
+    # Truth per scan, shared by the measurements and every model.
+    states = list(truth)
+    scans = generate_measurements(states, scenario, _measurement_rng(cfg.seed, run_idx))
     counts = truth.counts
     motion = scenario.motion_model()
     sensor = scenario.sensor_model()
     birth = scenario.birth_model()
-
-    # Truth per scan, shared by every model.
     ideals = [ideal_cardinality(int(counts[t]), scenario.n_max) for t in range(len(scans))]
-    states = [truth.states_at(t) for t in range(len(scans))]
     rows = []
     for name in cfg.models:
         spawn = None if name == "birth" else cfg.spawn_model(name)

@@ -248,11 +248,8 @@ def predict_birth(
     """
     d = np.zeros(motion.F.shape[0])
     survivors = transform_mixture(state.intensity, motion.F, d, motion.Q, motion.p_s)
-    if len(birth.mixture) > 0:
-        born = GaussianMixture(birth.rate * birth.mixture.w, birth.mixture.m, birth.mixture.P)
-        intensity = GaussianMixture.concat([survivors, born])
-    else:
-        intensity = survivors
+    born = GaussianMixture(birth.rate * birth.mixture.w, birth.mixture.m, birth.mixture.P)
+    intensity = GaussianMixture.concat([survivors, born])
     rho = binomial_thin(state.cardinality, motion.p_s)
     rho = convolve_counts(rho, poisson_pmf(birth.rate, rho.n_max))
     return FilterState(intensity, rho)

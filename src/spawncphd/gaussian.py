@@ -2,12 +2,12 @@
 
 A mixture is stored as stacked arrays (weights, means, covariances) so the
 filter recursion can stay vectorized: `transform_mixture` pushes all
-components through one affine map, and `reduce_mixture` truncates, merges and
-caps them. Its merge sweeps do each piece of work once: every distinct
-covariance is inverted once, and only merged heads are inverted again. The
-sweep state keeps those inverses in one table, a row referring to its entry
-by id: 128 bytes a row for d = 4, where a copy of the inverse per row would
-add another 128.
+components through one affine map (survivors and spawn kernel terms alike),
+and `reduce_mixture` truncates, merges and caps them. Its merge sweeps do each
+piece of work once: every distinct covariance is inverted once, and only
+merged heads are inverted again. The sweep state keeps those inverses in one
+table, a row referring to its entry by id: 128 bytes a row for d = 4, where a
+copy of the inverse per row would add another 128.
 """
 
 from __future__ import annotations
@@ -122,13 +122,13 @@ def transform_mixture(
     scaling its weight."""
     F = np.asarray(F, dtype=float)
     d = np.asarray(d, dtype=float).reshape(-1)
-    Qs = _require_psd(Q, "process noise covariance")
-    if len(mix) == 0:
-        return GaussianMixture.empty(F.shape[0])
-    m = mix.m @ F.T + d
-    P = np.matmul(np.matmul(F, mix.P), F.T) + Qs
-    P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
-    return GaussianMixture(scale * mix.w, m, P)
+    return GaussianMixture(*_push(mix, F, d, _require_psd(Q, "process noise covariance"), scale))
+
+
+def _push(mix: GaussianMixture, F: np.ndarray, d: np.ndarray, Q: np.ndarray, scale: float):
+    """`transform_mixture`'s arrays, for a Q already symmetrized and checked."""
+    P = np.matmul(np.matmul(F, mix.P), F.T) + Q
+    return scale * mix.w, mix.m @ F.T + d, 0.5 * (P + np.transpose(P, (0, 2, 1)))
 
 
 def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ clutter, driven by explicitly passed generators so runs reproduce exactly.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +163,10 @@ class GroundTruth:
         alive = [trk.state_at(t) for trk in self.tracks if trk.alive(t)]
         return np.stack(alive) if alive else np.empty((0, 4))
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Each scan's true states, in scan order."""
+        return (self.states_at(t) for t in range(self.n_scans))
+
 
 @dataclass
 class MeasurementScan:
@@ -223,18 +228,17 @@ def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> GroundTruth
 
 
 def generate_measurements(
-    truth: GroundTruth, cfg: ScenarioConfig, rng: np.random.Generator
+    states: Iterable[np.ndarray], cfg: ScenarioConfig, rng: np.random.Generator
 ) -> list[MeasurementScan]:
-    """Noisy position detections (probability p_d each) plus uniform Poisson
-    clutter, shuffled together so array order carries no information.
+    """Noisy position detections (probability p_d each) of each scan's states plus
+    uniform Poisson clutter, shuffled together so array order carries no information.
 
     The sensor only covers the configured region: targets outside it are
     never detected, and a detection whose noisy position falls outside is
     dropped, so every reported point lies within the region.
     """
     scans = []
-    for t in range(truth.n_scans):
-        X = truth.states_at(t)
+    for t, X in enumerate(states):
         det = (rng.random(X.shape[0]) < cfg.p_d) & cfg.region.contains(X[:, :2])
         nd = int(det.sum())
         hits = X[det, :2] + rng.normal(0.0, cfg.noise_std, size=(nd, 2))

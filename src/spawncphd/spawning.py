@@ -13,8 +13,8 @@ Each law is one class that gives its expected daughters per parent
 of the daughters of an array of parent counts (`sample`).
 `bell_coefficients` composes any law's pmf with survival (probability p_s)
 into the successor pmf that count prediction uses as it is (the paper's
-b_i = i! q_i cancel exactly, see `cardinality`); `spawn_intensity` produces
-the spawned part of the intensity.
+b_i = i! q_i cancel exactly, see `cardinality`); `spawn_intensity` pushes the
+posterior through each kernel term as `transform_mixture` pushes survivors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .cardinality import BellCoefficients, poisson_pmf
 from .errors import InvalidModelError
-from .gaussian import GaussianMixture, _require_psd
+from .gaussian import GaussianMixture, _push, _require_psd
 
 
 @dataclass(eq=False)
@@ -195,30 +195,21 @@ def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoeffici
 
 
 def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMixture:
-    """Spawned part of the predicted intensity.
-
-    For posterior component j and kernel term i the output component has
-    weight alpha * w_j * w_i, mean F_i m_j + d_i, covariance
-    Q_i + F_i P_j F_i^T; components are ordered j-major, term-minor.
+    """Spawned part of the predicted intensity: for each kernel term i, the
+    survivors' push (`transform_mixture`) of the posterior through
+    x -> F_i x + d_i with noise Q_i, weights scaled by alpha w_i. Components
+    are ordered j-major, term-minor; the kernel checked each Q_i when built.
     """
     sp = model.spatial
-    alpha = spawn_alpha(model)
     if len(posterior) == 0:
         return GaussianMixture.empty(sp.dim)
     if posterior.dim != sp.dim:
         raise InvalidModelError(
             f"kernel dim {sp.dim} does not match posterior dim {posterior.dim}"
         )
-    J, Jb, d = len(posterior), sp.weights.shape[0], sp.dim
-    w = (alpha * posterior.w)[:, None] * sp.weights[None, :]
-    m = np.empty((J, Jb, d))
-    P = np.empty((J, Jb, d, d))
-    for i in range(Jb):
-        F_i = sp.transitions[i]
-        m[:, i] = posterior.m @ F_i.T + sp.offsets[i]
-        P[:, i] = np.matmul(np.matmul(F_i, posterior.P), F_i.T) + sp.covariances[i]
-    P = 0.5 * (P + np.swapaxes(P, -1, -2))
-    return GaussianMixture(
-        w.reshape(J * Jb), m.reshape(J * Jb, d), P.reshape(J * Jb, d, d)
-    )
-
+    J, Jb, d = len(posterior), len(sp.weights), sp.dim
+    w, m, P = np.empty((J, Jb)), np.empty((J, Jb, d)), np.empty((J, Jb, d, d))
+    kernel = zip(spawn_alpha(model) * sp.weights, sp.transitions, sp.offsets, sp.covariances)
+    for i, (s_i, F_i, d_i, Q_i) in enumerate(kernel):
+        w[:, i], m[:, i], P[:, i] = _push(posterior, F_i, d_i, Q_i, s_i)
+    return GaussianMixture(w.reshape(-1), m.reshape(-1, d), P.reshape(-1, d, d))

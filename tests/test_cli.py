@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import pytest
 
@@ -190,6 +191,34 @@ class TestRefusedInputs:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{key} = " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("sensor", "p_d = 1.5"),
+            ("sensor", "p_d = -0.1"),
+            ("motion", "p_s = nan"),
+            ("motion", "p_s = 1.01"),
+            ("spawn.zip", "prob = 2"),
+            ("spawn.bernoulli", "prob = -0.5"),
+            ("spawn.poisson", "rate = -1"),
+            ("spawn.zip", "rate = nan"),
+            ("birth", "rate = -0.5"),
+        ],
+    )
+    def test_model_range_refused_before_output(self, tmp_path, capsys, section, line):
+        # The models' own probability and rate checks, run as the file is
+        # read: no truth is simulated and no output directory is made.
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        where = f"[{section}] {line.split(' = ')[0]} = "
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}"):
+            load_config(str(path))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args, key",

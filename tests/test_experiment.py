@@ -12,7 +12,7 @@ import pytest
 
 from spawncphd import experiment
 from spawncphd.cardinality import _binomial_table, _predict_tables
-from spawncphd.config import CSV_HEADER, ExperimentConfig, load_config
+from spawncphd.config import _SCHEMA, CSV_HEADER, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
 from spawncphd.gaussian import ReductionConfig
@@ -33,6 +33,14 @@ def small_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return cfg.__class__(**{**cfg.__dict__, **base})
+
+
+def config_field(cfg: ExperimentConfig, dest: str):
+    """The field an INI destination such as "region.xmin" names."""
+    group, _, name = dest.rpartition(".")
+    owners = {"scenario": cfg.scenario, "region": cfg.scenario.region, "reduction": cfg.reduction}
+    owner = owners.get(group, cfg)
+    return getattr(owner, name)
 
 
 class TestLoadConfig:
@@ -127,6 +135,54 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^\[{section}\] rate = 746\.0 exceeds 708\.4"):
             load_config(str(ini))
 
+    # A valid value other than the default for every INI key.
+    SCHEMA_VALUES = {
+        ("scenario", "n_scans"): ("40", 40),
+        ("scenario", "n_max"): ("15", 15),
+        ("scenario", "xmin"): ("-900", -900.0),
+        ("scenario", "xmax"): ("900", 900.0),
+        ("scenario", "ymin"): ("-800", -800.0),
+        ("scenario", "ymax"): ("800", 800.0),
+        ("scenario", "daughter_vel_std"): ("7.5", 7.5),
+        ("motion", "dt"): ("0.5", 0.5),
+        ("motion", "accel_std"): ("2.5", 2.5),
+        ("motion", "p_s"): ("0.95", 0.95),
+        ("sensor", "p_d"): ("0.9", 0.9),
+        ("sensor", "noise_std"): ("12", 12.0),
+        ("sensor", "clutter_rate"): ("10", 10.0),
+        ("spawn", "kernel_std"): ("8", 8.0),
+        ("spawn.bernoulli", "prob"): ("0.2", 0.2),
+        ("spawn.poisson", "rate"): ("0.5", 0.5),
+        ("spawn.zip", "prob"): ("0.3", 0.3),
+        ("spawn.zip", "rate"): ("1.5", 1.5),
+        ("birth", "rate"): ("0.05", 0.05),
+        ("birth", "pos_std"): ("300", 300.0),
+        ("birth", "vel_std"): ("9", 9.0),
+        ("metrics", "ospa_cutoff_pos"): ("60", 60.0),
+        ("metrics", "ospa_cutoff_vel"): ("40", 40.0),
+        ("experiment", "runs"): ("7", 7),
+        ("experiment", "seed"): ("99", 99),
+        ("experiment", "models"): ("zip, birth", ("zip", "birth")),
+        ("experiment", "trunc_threshold"): ("1e-4", 1e-4),
+        ("experiment", "merge_threshold"): ("2.0", 2.0),
+        ("experiment", "max_components"): ("50", 50),
+    }
+
+    def test_schema_values_cover_every_key(self):
+        keys = {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+        assert set(self.SCHEMA_VALUES) == keys
+
+    @pytest.mark.parametrize(
+        "section, key", [(s, k) for s, keys in _SCHEMA.items() for k in keys]
+    )
+    def test_every_key_lands_on_its_field(self, tmp_path, section, key):
+        raw, value = self.SCHEMA_VALUES[(section, key)]
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[{section}]\n{key} = {raw}\n")
+        dest = _SCHEMA[section][key][0]
+        assert config_field(load_config(str(ini)), dest) == value
+        assert config_field(load_config(None), dest) != value
+
     def test_clutter_rate_stays_unbounded(self, tmp_path):
         ini = tmp_path / "clutter.ini"
         ini.write_text("[sensor]\nclutter_rate = 2000\n")
@@ -165,9 +221,9 @@ class TestRunOne:
         assert {r.split(",")[2] for r in both[30:]} == {"birth"}
 
     def test_truth_per_scan_is_formed_once(self, monkeypatch):
-        # Every model reads the same per-scan truth, formed once per scan: the
-        # scan generator and the metrics read each scan's states once each,
-        # however many models run. Two models give the rows each gives alone.
+        # Every model reads the same per-scan truth, formed once per scan and
+        # handed to the scan generator and the metrics alike, however many
+        # models run. Two models give the rows each gives alone.
         alone = [row for m in ("zip", "birth") for row in run_one(small_config(models=(m,)), 1)]
         calls = {"states_at": 0, "ideal": 0}
         states_at, ideal = GroundTruth.states_at, experiment.ideal_cardinality
@@ -183,7 +239,7 @@ class TestRunOne:
         monkeypatch.setattr(GroundTruth, "states_at", counting_states_at)
         monkeypatch.setattr(experiment, "ideal_cardinality", counting_ideal)
         assert run_one(small_config(models=("zip", "birth")), 1) == alone
-        assert calls == {"states_at": 2 * 30, "ideal": 30}
+        assert calls == {"states_at": 30, "ideal": 30}
 
     def test_stock_scene_in_clutter_500(self):
         # The one global likelihood scale left u_c^(M-j) to underflow the

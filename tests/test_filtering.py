@@ -37,7 +37,7 @@ from spawncphd.filtering import (
     predict_spawning,
     update,
 )
-from spawncphd.gaussian import GaussianMixture, ReductionConfig, reduce_mixture
+from spawncphd.gaussian import GaussianMixture, ReductionConfig, reduce_mixture, transform_mixture
 from spawncphd.spawning import (
     BernoulliSpawn,
     PoissonSpawn,
@@ -166,6 +166,15 @@ class TestPredictBirth:
         assert len(pred.intensity) == 1
         ref = stats.poisson.pmf(np.arange(13), 0.025)
         np.testing.assert_allclose(pred.cardinality.probs, ref / ref.sum(), rtol=1e-10)
+
+    def test_no_births_leaves_the_survivors(self):
+        # Rate 0 with an empty birth mixture appends nothing.
+        state = two_target_state()
+        pred = predict_birth(state, MOTION, BirthModel(0.0, GaussianMixture.empty(4)))
+        ref = transform_mixture(state.intensity, MOTION.F, np.zeros(4), MOTION.Q, MOTION.p_s)
+        np.testing.assert_array_equal(pred.intensity.w, ref.w)
+        np.testing.assert_array_equal(pred.intensity.m, ref.m)
+        np.testing.assert_array_equal(pred.intensity.P, ref.P)
 
 
 class TestPrefixESF:

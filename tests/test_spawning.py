@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from spawncphd.errors import InvalidModelError
-from spawncphd.gaussian import GaussianMixture
+from spawncphd.gaussian import GaussianMixture, transform_mixture
 from spawncphd.spawning import (
     BernoulliSpawn,
     PoissonSpawn,
@@ -213,6 +213,58 @@ class TestSpawnIntensity:
     def test_empty_posterior(self):
         out = spawn_intensity(GaussianMixture.empty(4), PoissonSpawn(0.5, KERNEL))
         assert len(out) == 0
+
+    @staticmethod
+    def random_posterior(rng, J):
+        A = rng.normal(0.0, 3.0, size=(J, 4, 4))
+        return GaussianMixture(
+            rng.uniform(0.01, 2.0, size=J),
+            rng.normal(0.0, 500.0, size=(J, 4)),
+            A @ np.transpose(A, (0, 2, 1)) + np.eye(4),
+        )
+
+    def test_terms_are_the_survivors_push_interleaved(self):
+        # Each kernel term is transform_mixture of the posterior with scale
+        # alpha * w_i; the terms interleave j-major.
+        rng = np.random.default_rng(17)
+        B = rng.normal(0.0, 2.0, size=(3, 4, 4))
+        kernel = SpawnSpatialModel(
+            np.array([0.5, 0.3, 0.2]),
+            np.eye(4) + rng.normal(0.0, 0.1, size=(3, 4, 4)),
+            rng.normal(0.0, 20.0, size=(3, 4)),
+            B @ np.transpose(B, (0, 2, 1)),
+        )
+        model = ZeroInflatedPoissonSpawn(0.3, 2.5, kernel)
+        post = self.random_posterior(rng, 7)
+        out = spawn_intensity(post, model)
+        assert len(out) == 21
+        for i in range(3):
+            ref = transform_mixture(
+                post, kernel.transitions[i], kernel.offsets[i], kernel.covariances[i],
+                model.alpha * kernel.weights[i],
+            )
+            np.testing.assert_array_equal(out.m[i::3], ref.m)
+            np.testing.assert_array_equal(out.P[i::3], ref.P)
+            np.testing.assert_allclose(out.w[i::3], ref.w, rtol=1e-15, atol=0.0)
+
+    def test_single_term_keeps_the_direct_formula(self):
+        # The formula spawn_intensity used before it shared the survivors'
+        # push, written out here as the reference: bit for bit.
+        rng = np.random.default_rng(5)
+        F = np.eye(4) + rng.normal(0.0, 0.2, size=(4, 4))
+        C = rng.normal(0.0, 4.0, size=(4, 4))
+        kernel = SpawnSpatialModel.single(F, rng.normal(0.0, 9.0, size=4), C @ C.T)
+        model = PoissonSpawn(0.025, kernel)
+        post = self.random_posterior(rng, 9)
+        out = spawn_intensity(post, model)
+        F_i, d_i, Q_i = kernel.transitions[0], kernel.offsets[0], kernel.covariances[0]
+        w = ((model.alpha * post.w)[:, None] * kernel.weights[None, :]).reshape(-1)
+        m = post.m @ F_i.T + d_i
+        P = np.matmul(np.matmul(F_i, post.P), F_i.T) + Q_i
+        P = 0.5 * (P + np.swapaxes(P, -1, -2))
+        np.testing.assert_array_equal(out.w, w)
+        np.testing.assert_array_equal(out.m, m)
+        np.testing.assert_array_equal(out.P, P)
 
 
 class TestValidation:
