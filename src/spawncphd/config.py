@@ -189,7 +189,11 @@ def load_config(path=None) -> ExperimentConfig:
                 except InvalidModelError as exc:  # a model's own range check
                     raise ConfigError(str(exc)) from None
 
-    region = dataclasses.replace(ScenarioConfig().region, **groups["region"])
+    try:
+        region = dataclasses.replace(ScenarioConfig().region, **groups["region"])
+    except InvalidModelError as exc:  # only keys the file set can empty the region
+        keys = ", ".join(f"{key} = {value}" for key, value in groups["region"].items())
+        raise ConfigError(f"[scenario] {keys}: {exc}") from None
     scenario = ScenarioConfig(region=region, **groups["scenario"])
     try:
         reduction = dataclasses.replace(DEFAULT_REDUCTION, **groups["reduction"])

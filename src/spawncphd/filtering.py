@@ -269,27 +269,21 @@ def _as_scan_array(scan, k: int) -> np.ndarray:
 
 def _innovation_stats(mix: GaussianMixture, H: np.ndarray, R: np.ndarray):
     """Batched innovation covariance, gain, updated covariance, and the
-    Gaussian normalizers needed for measurement densities."""
+    Gaussian normalizers needed for measurement densities. One batched Cholesky
+    factor L decides that every S is positive definite; det S = (prod diag L)^2."""
     S = np.matmul(np.matmul(H, mix.P), H.T) + R
     S = 0.5 * (S + np.transpose(S, (0, 2, 1)))
     k = H.shape[0]
-    if k == 2:
-        a, b, c = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
-        det = a * c - b * b
-        if np.any(det <= 0.0) or np.any(a <= 0.0):
-            j = int(np.argmax((det <= 0.0) | (a <= 0.0)))
-            raise NumericalError(f"singular innovation covariance for component {j}")
-        Sinv = np.empty_like(S)
-        Sinv[:, 0, 0] = c
-        Sinv[:, 1, 1] = a
-        Sinv[:, 0, 1] = Sinv[:, 1, 0] = -b
-        Sinv /= det[:, None, None]
-    else:
-        det = np.linalg.det(S)
-        if np.any(det <= 0.0):
-            j = int(np.argmax(det <= 0.0))
-            raise NumericalError(f"singular innovation covariance for component {j}")
-        Sinv = np.linalg.inv(S)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:  # failure path only: name the S with the least eigenvalue
+        j = int(np.argmin(np.linalg.eigvalsh(S)[:, 0]))
+        raise NumericalError(f"singular innovation covariance for component {j}") from None
+    det = L.diagonal(axis1=1, axis2=2).prod(axis=1) ** 2
+    if np.any(det <= 0.0):  # underflow
+        j = int(np.argmax(det <= 0.0))
+        raise NumericalError(f"singular innovation covariance for component {j}")
+    Sinv = np.linalg.inv(S)
     K = mix.P @ H.T @ Sinv
     P_upd = mix.P - K @ S @ np.transpose(K, (0, 2, 1))
     P_upd = 0.5 * (P_upd + np.transpose(P_upd, (0, 2, 1)))
@@ -346,8 +340,9 @@ def update(
     its trunc_threshold, through the same assembly. The quadratic forms
     round as numpy's trailing-axis sum does for k <= 7 measurement
     coordinates (pairwise from 8); every configured sensor has k = 2. A
-    `NumericalError` is raised if the strengths' ESF (e_K <= C(M, K)) overflow
-    float64 or the scan has zero likelihood under the predicted counts.
+    `NumericalError` is raised if an innovation covariance H P H^T + R is not
+    positive definite, the strengths' ESF (e_K <= C(M, K)) overflow float64
+    or the scan has zero likelihood under the predicted counts.
 
     Memory: innovations are formed in blocks of whole components, at most
     `_PAIR_BLOCK` pairs where a component allows, and the means of kept

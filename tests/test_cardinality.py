@@ -9,6 +9,7 @@ np.convolve.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -256,6 +257,74 @@ class TestPredictCardinality:
         out = pgf_compose_oracle(rho, q)
         ref = np.convolve(np.convolve(q, q), q)[:13]
         np.testing.assert_allclose(out.probs, ref / ref.sum(), rtol=1e-13)
+
+
+# ---------------------------------------------------------------- referee
+
+
+def referee_predict_cardinality(rho, model, p_s):
+    """The predicted count pmf at 50 digits, from the law's parameters.
+
+    The law's daughter pmf d (Bernoulli `prob`; Poisson `rate`; for the
+    zero-inflated law, `prob` times the Poisson pmf plus 1 - `prob` at 0) is
+    formed in mpmath, not taken from the float pmf, and composed with
+    survival into q_i = (1 - p_s) d_i + p_s d_(i-1). Then
+    sum_m rho(m) [q^(*m)]_n is summed by truncated convolution on 0..n_max
+    and renormalized there. Returns floats.
+    """
+    N = rho.n_max
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        if isinstance(model, BernoulliSpawn):
+            d = [1 - mpf(model.prob), mpf(model.prob)]
+        else:
+            rate = mpf(model.rate)
+            d = [mpmath.exp(-rate) * rate**i / mpmath.factorial(i) for i in range(N + 1)]
+        if isinstance(model, ZeroInflatedPoissonSpawn):
+            d = [mpf(model.prob) * x for x in d]
+            d[0] += 1 - mpf(model.prob)
+        p_s = mpf(p_s)
+        q = [(1 - p_s) * a + p_s * b for a, b in zip(d + [0], [0] + d)][: N + 1]
+        power = [mpf(1)] + [mpf(0)] * N  # q^(*0)
+        out = [mpf(rho.probs[0]) * x for x in power]
+        for r in rho.probs[1 : np.flatnonzero(rho.probs)[-1] + 1]:
+            power = [mpmath.fdot(q[: n + 1], power[n::-1]) for n in range(N + 1)]
+            out = [o + mpf(r) * x for o, x in zip(out, power)]
+        total = mpmath.fsum(out)
+        return np.array([float(o / total) for o in out])
+
+
+class TestPredictCardinalityReferee:
+    # Rates up to MAX_RATE: at 708 every successor count 0..200 lies deep in
+    # the lower tail, and powers beyond a few parents underflow float64.
+    LAWS = [  # one row per survival probability below
+        (BernoulliSpawn(0.3, KERNEL), PoissonSpawn(0.025, KERNEL),
+         ZeroInflatedPoissonSpawn(0.01, 2.5, KERNEL)),
+        (BernoulliSpawn(0.01, KERNEL), PoissonSpawn(708.0, KERNEL),
+         ZeroInflatedPoissonSpawn(0.4, 708.0, KERNEL)),
+        (BernoulliSpawn(0.9, KERNEL), PoissonSpawn(2.5, KERNEL),
+         ZeroInflatedPoissonSpawn(0.9, 50.0, KERNEL)),
+        (BernoulliSpawn(1.0, KERNEL), PoissonSpawn(50.0, KERNEL),
+         ZeroInflatedPoissonSpawn(1.0, 708.0, KERNEL)),
+    ]
+
+    @pytest.mark.parametrize("n_max", [1, 20, 100, 200])
+    def test_matches_referee(self, n_max):
+        # Priors on counts 0..min(n_max, 30). The distance to the referee:
+        # 1e-13 relative for entries above 1e-280, 1e-280 absolute below,
+        # where float64 products underflow.
+        rng = np.random.default_rng(n_max)
+        top = min(n_max, 30)
+        for p_s, laws in zip((0.0, 0.5, 0.99, 1.0), self.LAWS):
+            probs = np.zeros(n_max + 1)
+            probs[: top + 1] = rng.dirichlet(np.ones(top + 1))
+            rho = CardinalityDistribution(probs)
+            for model in laws:
+                got = predict_cardinality(rho, bell_coefficients(model, p_s, n_max)).probs
+                ref = referee_predict_cardinality(rho, model, p_s)
+                np.testing.assert_allclose(
+                    got, ref, rtol=1e-13, atol=1e-280, err_msg=f"{type(model).__name__} {p_s}"
+                )
 
 
 # ---------------------------------------------------------------- bit identity

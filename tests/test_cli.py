@@ -204,11 +204,14 @@ class TestRefusedInputs:
             ("spawn.poisson", "rate = -1"),
             ("spawn.zip", "rate = nan"),
             ("birth", "rate = -0.5"),
+            ("scenario", "xmin = 2000"),
+            ("scenario", "ymax = -2000"),
         ],
     )
     def test_model_range_refused_before_output(self, tmp_path, capsys, section, line):
-        # The models' own probability and rate checks, run as the file is
-        # read: no truth is simulated and no output directory is made.
+        # The models' own probability and rate checks and the region's bounds
+        # check, run as the file is read: no truth is simulated and no output
+        # directory is made.
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{line}\n")
         where = f"[{section}] {line.split(' = ')[0]} = "

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,22 @@ class TestLoadConfig:
         ini.write_text(f"[experiment]\n{line}\n")
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=rf"\[experiment\] {key} = "):
+            load_config(str(ini))
+
+    @pytest.mark.parametrize(
+        "lines, where",
+        [
+            ("xmin = 2000", "xmin = 2000.0"),
+            ("xmin = 5\nxmax = 1", "xmin = 5.0, xmax = 1.0"),
+            ("ymax = 0\nymin = 0", "ymax = 0.0, ymin = 0.0"),
+        ],
+        ids=["xmin", "xmin-xmax", "ymax-ymin"],
+    )
+    def test_empty_region_names_its_keys(self, tmp_path, lines, where):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[scenario]\n{lines}\n")
+        msg = f"[scenario] {where}: rectangle bounds must satisfy min < max"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(msg)}$"):
             load_config(str(ini))
 
     def test_reduction_boundary_values_load(self, tmp_path):

@@ -437,7 +437,7 @@ class TestUpdateDensity:
     prior weights times the predicted-measurement densities.
     """
 
-    @pytest.mark.parametrize("k", [2, 3])  # closed-form and np.linalg.inv innovation inverses
+    @pytest.mark.parametrize("k", [2, 3])
     def test_detection_weight_ratio_matches_scipy(self, k):
         rng = np.random.default_rng(21 + k)
         for _ in range(50):
@@ -463,12 +463,30 @@ class TestUpdateDensity:
         ratio = post.intensity.w[2] / post.intensity.w[3]
         assert ratio == pytest.approx(0.5 * math.exp(0.5), rel=1e-13)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_singular_innovation_raises(self, k):
-        mix = GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.zeros((1, 4, 4)))
+    @pytest.mark.parametrize(
+        "k, P",
+        [
+            (2, np.zeros((4, 4))),
+            (3, np.zeros((4, 4))),
+            (2, -100.0 * np.eye(4)),
+            (3, -100.0 * np.eye(4)),
+            (4, -100.0 * np.eye(4)),
+            # Indefinite, with a positive diagonal and determinant.
+            (4, 100.0 * np.kron(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])),
+            # Positive definite, but det S = 1e-400 underflows to 0.
+            (2, 1e-200 * np.eye(4)),
+        ],
+        ids=["2", "3", "2-negative", "3-negative", "4-negative", "4-indefinite", "2-underflow"],
+    )
+    def test_singular_innovation_raises(self, k, P):
+        # H = I and R = 0, so S = P[:k, :k]: positive definiteness is decided
+        # for every measurement dimension, not only det S > 0. The failing
+        # component sits between two healthy ones and is named.
+        P = np.stack([100.0 * np.eye(4), P, 100.0 * np.eye(4)])
+        mix = GaussianMixture(np.ones(3), np.zeros((3, 4)), P)
         state = FilterState(mix, CardinalityDistribution.poisson(1.0, 10))
         sensor = SensorModel(np.eye(k, 4), np.zeros((k, k)), 0.9, 10.0, FOV)
-        with pytest.raises(NumericalError, match="singular innovation covariance"):
+        with pytest.raises(NumericalError, match="^singular innovation covariance for component 1$"):
             update(state, np.zeros((1, k)), sensor, reduction=None)
 
 
@@ -816,8 +834,12 @@ def assert_same_update(state, scan, sensor, reduction, refereed=False):
     # of two where the reference forms n!/(n-j)!, so outputs agree to
     # rounding, not bit for bit. Means and covariances are compared relative
     # to each component's largest entry: merging cancels some entries to
-    # rounding noise near 1e-29. Where the reference's terms u_c^(M-j)
-    # underflow (`refereed`), its count pmf is wrong: the referee judges both.
+    # rounding noise near 1e-29. A reduced posterior lists its rows by
+    # weight, so rows whose weights tie to that rtol come in an order set by
+    # the last bits of the count arithmetic: within each run of tied weights
+    # the rows are compared in the order of their means. Where the
+    # reference's terms u_c^(M-j) underflow (`refereed`), its count pmf is
+    # wrong: the referee judges both.
     got = update(state, scan, sensor, reduction=reduction)
     ref = reference_update(state, scan, sensor, reduction=reduction)
     assert len(got.intensity) == len(ref.intensity)
@@ -829,7 +851,10 @@ def assert_same_update(state, scan, sensor, reduction, refereed=False):
             assert_matches_referee(ref.cardinality.probs, probs)
     else:
         np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
-    for a, b in [(got.intensity.m, ref.intensity.m), (got.intensity.P, ref.intensity.P)]:
+    w = ref.intensity.w
+    run = np.cumsum(~np.isclose(w, np.r_[w[:1], w[:-1]], rtol=1e-13, atol=0))
+    g, r = (np.lexsort((*mix.m.T[::-1], run)) for mix in (got.intensity, ref.intensity))
+    for a, b in [(got.intensity.m[g], ref.intensity.m[r]), (got.intensity.P[g], ref.intensity.P[r])]:
         scale = np.abs(b).max(axis=tuple(range(1, b.ndim)), keepdims=True, initial=0.0)
         assert np.all(np.abs(a - b) <= 1e-13 * scale)
 
