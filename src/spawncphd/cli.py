@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .cardinality import CardinalityDistribution, predict_cardinality
+from .cardinality import MAX_COUNT, CardinalityDistribution, predict_cardinality
 from .config import MODEL_NAMES, ExperimentConfig, load_config
 from .errors import ConfigError, DomainError, InvalidModelError, NumericalError
 from .experiment import run_experiment, summarize
@@ -79,6 +79,8 @@ def _cmd_oracle(args) -> int:
         cfg = dataclasses.replace(cfg, **kw)
     model = cfg.spawn_model(args.model)
     n_max = args.n_max
+    if not 0 <= n_max <= MAX_COUNT:
+        raise ConfigError(f"--n-max = {n_max} outside 0..{MAX_COUNT}, the tested range")
     prior = CardinalityDistribution.delta(args.count, n_max)
     analytic = predict_cardinality(prior, bell_coefficients(model, args.p_s, n_max))
     rng = np.random.default_rng(args.seed)

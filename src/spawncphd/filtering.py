@@ -39,7 +39,6 @@ import numpy as np
 
 from .cardinality import (
     CardinalityDistribution,
-    _binomial_table,
     binomial_thin,
     convolve_counts,
     count_update_tables,
@@ -173,10 +172,6 @@ class SensorModel:
         R = float(noise_std) ** 2 * np.eye(2)
         return cls(H, R, p_d, clutter_rate, fov)
 
-    @property
-    def clutter_density(self) -> float:
-        return self.clutter_rate / self.fov.area
-
 
 @dataclass(eq=False)
 class BirthModel:
@@ -280,8 +275,8 @@ def _innovation_stats(mix: GaussianMixture, H: np.ndarray, R: np.ndarray):
         j = int(np.argmin(np.linalg.eigvalsh(S)[:, 0]))
         raise NumericalError(f"singular innovation covariance for component {j}") from None
     det = L.diagonal(axis1=1, axis2=2).prod(axis=1) ** 2
-    if np.any(det <= 0.0):  # underflow
-        j = int(np.argmax(det <= 0.0))
+    if not np.all(det > 0.0):  # underflow, or a NaN that cholesky passed on
+        j = int(np.argmax(~(det > 0.0)))
         raise NumericalError(f"singular innovation covariance for component {j}")
     Sinv = np.linalg.inv(S)
     K = mix.P @ H.T @ Sinv
@@ -342,7 +337,11 @@ def update(
     coordinates (pairwise from 8); every configured sensor has k = 2. A
     `NumericalError` is raised if an innovation covariance H P H^T + R is not
     positive definite, the strengths' ESF (e_K <= C(M, K)) overflow float64
-    or the scan has zero likelihood under the predicted counts.
+    or the scan has zero likelihood under the predicted counts. An empty or
+    massless intensity takes the same path: every association strength is 0,
+    so the count pmf becomes (1 - p_d)^n rho(n), renormalized, and a scan
+    without clutter to explain it has zero likelihood; with `reduction=None` a
+    massless intensity of J components lists its J (M + 1) zero-weight rows.
 
     Memory: innovations are formed in blocks of whole components, at most
     `_PAIR_BLOCK` pairs where a component allows, and the means of kept
@@ -369,19 +368,6 @@ def update(
     qd = 1.0 - p_d
     V = sensor.fov.area
 
-    if J == 0 or s_w <= 0.0:
-        # No spatial mass: every measurement must be clutter.
-        if M > 0 and lam_c == 0.0:
-            raise NumericalError("measurements received but neither targets nor clutter possible")
-        vals = _binomial_table(N, qd)[0] * rho  # qd^n
-        if not np.cumsum(vals)[-1] > 0.0:
-            raise NumericalError("the scan has zero likelihood under the predicted counts")
-        post = FilterState(
-            GaussianMixture.empty(mix.dim if J else sensor.H.shape[1]),
-            CardinalityDistribution(vals, normalize=True),
-        )
-        return _checked(post)
-
     # Per-component innovation statistics and per-measurement densities. The
     # innovations and the quadratic form (nu Sinv) . nu go one measurement
     # coordinate at a time, left to right, in blocks of whole components that
@@ -400,7 +386,7 @@ def update(
         np.multiply(X[..., 0], nu[..., 0], out=q[rows])
         for c in range(1, k):
             q[rows] += X[..., c] * nu[..., c]
-    del nu, X
+        del nu, X
     q *= -0.5
     np.exp(q, out=q)
     q /= norm[:, None]
@@ -410,7 +396,8 @@ def update(
     u = s * assoc
     u_c = s * lam_c
 
-    C0, C1, Cm, x = count_update_tables(N, M, qd, u_c, s_w)
+    # A massless intensity has every u_i = 0: only degree 0, free of s_w, counts.
+    C0, C1, Cm, x = count_update_tables(N, M, qd, u_c, s_w if s_w > 0.0 else 1.0)
     cm = Cm @ rho  # its largest term 2^x[j+1] cm[j] is scaled near 1 by 2^-cx
     cx = np.max(np.frexp(cm)[1] + x[1:], where=cm > 0.0, initial=0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below

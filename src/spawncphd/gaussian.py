@@ -1,9 +1,10 @@
 """Gaussian mixture algebra for intensity functions.
 
 A mixture is stored as stacked arrays (weights, means, covariances) so the
-filter recursion can stay vectorized: `transform_mixture` pushes all
-components through one affine map (survivors and spawn kernel terms alike),
-and `reduce_mixture` truncates, merges and caps them. Its merge sweeps do each
+filter recursion can stay vectorized: `transform_mixture` is the one
+Gaussian push, of every component through one affine map or a stack of them
+(the survivors' motion, or every spawn kernel term in one call), and
+`reduce_mixture` truncates, merges and caps them. Its merge sweeps do each
 piece of work once: every distinct covariance is inverted once, and only
 merged heads are inverted again. The sweep state keeps those inverses in one
 table, a row referring to its entry by id: 128 bytes a row for d = 4, where a
@@ -116,19 +117,26 @@ def transform_mixture(
     F: np.ndarray,
     d: np.ndarray,
     Q: np.ndarray,
-    scale: float,
+    scale,
 ) -> GaussianMixture:
-    """Push every component through x -> F x + d with additive PSD noise Q,
-    scaling its weight."""
+    """Push every component through x -> F_t x + d_t with noise Q_t, its weight
+    scaled by scale_t, for each of T terms: F (e, dim), d (e,), Q (e, e) and
+    `scale` each hold one term or a stack of T. The J * T components come out
+    component-major, term-minor; each term takes a single term's matmuls,
+    formed term-major. Q is not checked: the models check theirs when built.
+    """
     F = np.asarray(F, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    return GaussianMixture(*_push(mix, F, d, _require_psd(Q, "process noise covariance"), scale))
-
-
-def _push(mix: GaussianMixture, F: np.ndarray, d: np.ndarray, Q: np.ndarray, scale: float):
-    """`transform_mixture`'s arrays, for a Q already symmetrized and checked."""
-    P = np.matmul(np.matmul(F, mix.P), F.T) + Q
-    return scale * mix.w, mix.m @ F.T + d, 0.5 * (P + np.transpose(P, (0, 2, 1)))
+    e = F.shape[-2]
+    F = F.reshape(-1, 1, e, F.shape[-1])
+    Ft = np.swapaxes(F, -1, -2)
+    d, Q, s = np.reshape(d, (-1, 1, e)), np.reshape(Q, (-1, 1, e, e)), np.reshape(scale, (-1, 1))
+    J, T = len(mix), max(len(F), len(d), len(Q), len(s))
+    w, m, P = np.empty((J, T)), np.empty((J, T, e)), np.empty((J, T, e, e))
+    np.multiply(s, mix.w, out=w.T)
+    np.add(np.matmul(mix.m, Ft[:, 0]), d, out=np.swapaxes(m, 0, 1))
+    FPF = np.matmul(np.matmul(F, mix.P), Ft) + Q
+    np.multiply(0.5, FPF + np.swapaxes(FPF, -1, -2), out=np.swapaxes(P, 0, 1))
+    return GaussianMixture(w.reshape(-1), m.reshape(-1, e), P.reshape(-1, e, e))
 
 
 def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

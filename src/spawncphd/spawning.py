@@ -14,7 +14,8 @@ of the daughters of an array of parent counts (`sample`).
 `bell_coefficients` composes any law's pmf with survival (probability p_s)
 into the successor pmf that count prediction uses as it is (the paper's
 b_i = i! q_i cancel exactly, see `cardinality`); `spawn_intensity` pushes the
-posterior through each kernel term as `transform_mixture` pushes survivors.
+posterior through every kernel term in one call of `transform_mixture`, the
+push that also moves the survivors.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .cardinality import BellCoefficients, poisson_pmf
 from .errors import InvalidModelError
-from .gaussian import GaussianMixture, _push, _require_psd
+from .gaussian import GaussianMixture, _require_psd, transform_mixture
 
 
 @dataclass(eq=False)
@@ -195,21 +196,16 @@ def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoeffici
 
 
 def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMixture:
-    """Spawned part of the predicted intensity: for each kernel term i, the
-    survivors' push (`transform_mixture`) of the posterior through
-    x -> F_i x + d_i with noise Q_i, weights scaled by alpha w_i. Components
-    are ordered j-major, term-minor; the kernel checked each Q_i when built.
+    """Spawned part of the predicted intensity: one `transform_mixture` of the
+    posterior through every kernel term i, x -> F_i x + d_i with noise Q_i,
+    weights scaled by alpha w_i. Components are ordered j-major, term-minor;
+    the kernel checked each Q_i when built.
     """
     sp = model.spatial
-    if len(posterior) == 0:
-        return GaussianMixture.empty(sp.dim)
     if posterior.dim != sp.dim:
         raise InvalidModelError(
             f"kernel dim {sp.dim} does not match posterior dim {posterior.dim}"
         )
-    J, Jb, d = len(posterior), len(sp.weights), sp.dim
-    w, m, P = np.empty((J, Jb)), np.empty((J, Jb, d)), np.empty((J, Jb, d, d))
-    kernel = zip(spawn_alpha(model) * sp.weights, sp.transitions, sp.offsets, sp.covariances)
-    for i, (s_i, F_i, d_i, Q_i) in enumerate(kernel):
-        w[:, i], m[:, i], P[:, i] = _push(posterior, F_i, d_i, Q_i, s_i)
-    return GaussianMixture(w.reshape(-1), m.reshape(-1, d), P.reshape(-1, d, d))
+    return transform_mixture(
+        posterior, sp.transitions, sp.offsets, sp.covariances, spawn_alpha(model) * sp.weights
+    )

@@ -225,7 +225,12 @@ class TestRefusedInputs:
 
     @pytest.mark.parametrize(
         "args, key",
-        [(["--count", "30"], "count 30"), (["--count", "1", "--samples", "0"], "n_samples = 0")],
+        [
+            (["--count", "30"], "count 30"),
+            (["--count", "1", "--samples", "0"], "n_samples = 0"),
+            (["--count", "1", "--n-max", "1100"], "--n-max = 1100 outside 0..500"),
+            (["--count", "0", "--n-max", "-1"], "--n-max = -1 outside 0..500"),
+        ],
     )
     def test_oracle_argument(self, capsys, args, key):
         assert main(["oracle", "--model", "zip"] + args) == 2

@@ -333,6 +333,32 @@ class TestUpdate:
         assert len(post.intensity) == 0
         np.testing.assert_allclose(post.cardinality.probs[0], 1.0, rtol=1e-14)
 
+    def test_empty_intensity_without_clutter_has_zero_likelihood(self):
+        # With no targets in the intensity and no clutter, nothing explains
+        # the measurement.
+        state = FilterState(GaussianMixture.empty(4), CardinalityDistribution.poisson(1.0, 10))
+        sensor = SensorModel.position_sensor(10.0, p_d=1.0, clutter_rate=0.0, fov=FOV)
+        with pytest.raises(NumericalError, match="^the scan has zero likelihood under the predicted counts$"):
+            update(state, np.array([[10.0, 10.0]]), sensor, reduction=None)
+
+    @pytest.mark.parametrize("M", [0, 2])
+    def test_massless_intensity_updates_counts_as_an_empty_one(self, M):
+        # Every association strength is 0 either way: the count pmf is
+        # (1 - p_d)^n rho(n), renormalized, bit for bit, and the exact
+        # posterior lists the J (M + 1) rows of the massless components.
+        rho = CardinalityDistribution.poisson(2.0, 10)
+        scan = np.array([[10.0, 10.0], [-500.0, 250.0]])[:M]
+        empty = update(FilterState(GaussianMixture.empty(4), rho), scan, SENSOR, reduction=None)
+        mix = GaussianMixture(np.zeros(3), np.zeros((3, 4)), np.stack([np.eye(4)] * 3))
+        massless = update(FilterState(mix, rho), scan, SENSOR, reduction=None)
+        np.testing.assert_array_equal(massless.cardinality.probs, empty.cardinality.probs)
+        expected = (1.0 - SENSOR.p_d) ** np.arange(11) * rho.probs
+        np.testing.assert_allclose(empty.cardinality.probs, expected / expected.sum(), rtol=1e-14)
+        assert len(massless.intensity) == 3 * (M + 1) and not massless.intensity.w.any()
+        reduced = update(FilterState(mix, rho), scan, SENSOR)
+        assert len(reduced.intensity) == 0
+        np.testing.assert_array_equal(reduced.cardinality.probs, empty.cardinality.probs)
+
     def test_underflowed_normalizer_aborts(self):
         # A count distribution pinned at 20 targets with certain detection and
         # an empty scan is impossible: the update must fail loudly, not NaN.
@@ -475,8 +501,13 @@ class TestUpdateDensity:
             (4, 100.0 * np.kron(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])),
             # Positive definite, but det S = 1e-400 underflows to 0.
             (2, 1e-200 * np.eye(4)),
+            # cholesky passes a NaN on without raising.
+            (2, np.full((4, 4), np.nan)),
         ],
-        ids=["2", "3", "2-negative", "3-negative", "4-negative", "4-indefinite", "2-underflow"],
+        ids=[
+            "2", "3", "2-negative", "3-negative", "4-negative", "4-indefinite", "2-underflow",
+            "nan",
+        ],
     )
     def test_singular_innovation_raises(self, k, P):
         # H = I and R = 0, so S = P[:k, :k]: positive definiteness is decided
@@ -1032,9 +1063,6 @@ class TestModels:
         np.testing.assert_array_equal(
             r.contains(np.array([[0.0, 0.0], [1500.0, 0.0]])), [True, False]
         )
-
-    def test_sensor_clutter_density(self):
-        assert SENSOR.clutter_density == pytest.approx(50.0 / 4e6, rel=1e-15)
 
     def test_invalid_probabilities_rejected(self):
         from spawncphd.errors import InvalidModelError

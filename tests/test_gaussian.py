@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from spawncphd.errors import InvalidModelError
+from spawncphd.filtering import MotionModel
 from spawncphd.gaussian import (
     GaussianMixture,
     ReductionConfig,
     reduce_mixture,
     transform_mixture,
 )
+from spawncphd.spawning import SpawnSpatialModel
 
 CV_F = np.array(
     [
@@ -77,11 +79,42 @@ class TestAffineTransform:
             np.testing.assert_allclose(out.P[0], F @ c.P[0] @ F.T + Q, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(out.P[0], out.P[0].T, atol=0.0)
 
-    def test_rejects_non_psd_noise(self):
-        c = one_component(1.0, np.zeros(4), np.eye(4))
-        bad_Q = np.diag([1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(InvalidModelError):
-            transform_mixture(c, np.eye(4), np.zeros(4), bad_Q, 1.0)
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda Q: MotionModel(np.eye(4), Q, 0.9), "process noise covariance"),
+            (
+                lambda Q: SpawnSpatialModel(
+                    np.array([0.5, 0.5]), np.stack([np.eye(4)] * 2), np.zeros((2, 4)),
+                    np.stack([np.eye(4), Q]),
+                ),
+                "spawn kernel covariance term 1",
+            ),
+        ],
+        ids=["motion", "spawn-kernel"],
+    )
+    def test_models_refuse_non_psd_noise_when_built(self, build, what):
+        # transform_mixture takes Q as given; each model that supplies one
+        # checks it once, at construction.
+        with pytest.raises(InvalidModelError, match=f"^{what} is not positive semidefinite$"):
+            build(np.diag([1.0, 1.0, 1.0, -1.0]))
+
+    def test_stacked_terms_are_component_major(self):
+        # F, d, Q and scale each hold one term or a stack of T; term t of the
+        # stacked push is, bit for bit, the single-term push of that term.
+        rng = np.random.default_rng(23)
+        mix = random_mixture(rng, 5)
+        B = rng.normal(size=(3, 4, 4))
+        d, Q, s = rng.normal(size=(3, 4)), B @ np.transpose(B, (0, 2, 1)), rng.uniform(size=3)
+        F = np.eye(4) + rng.normal(0.0, 0.2, size=(3, 4, 4))
+        for Fs in (F, F[0]):
+            out = transform_mixture(mix, Fs, d, Q, s)
+            assert len(out) == 15
+            for t in range(3):
+                ref = transform_mixture(mix, F[t] if Fs.ndim == 3 else Fs, d[t], Q[t], s[t])
+                np.testing.assert_array_equal(out.w[t::3], ref.w)
+                np.testing.assert_array_equal(out.m[t::3], ref.m)
+                np.testing.assert_array_equal(out.P[t::3], ref.P)
 
     def test_mixture_transform_matches_componentwise(self):
         rng = np.random.default_rng(11)

@@ -225,7 +225,7 @@ class TestSpawnIntensity:
 
     def test_terms_are_the_survivors_push_interleaved(self):
         # Each kernel term is transform_mixture of the posterior with scale
-        # alpha * w_i; the terms interleave j-major.
+        # alpha * w_i; the terms interleave j-major, as one stacked push lists them.
         rng = np.random.default_rng(17)
         B = rng.normal(0.0, 2.0, size=(3, 4, 4))
         kernel = SpawnSpatialModel(
@@ -245,7 +245,14 @@ class TestSpawnIntensity:
             )
             np.testing.assert_array_equal(out.m[i::3], ref.m)
             np.testing.assert_array_equal(out.P[i::3], ref.P)
-            np.testing.assert_allclose(out.w[i::3], ref.w, rtol=1e-15, atol=0.0)
+            np.testing.assert_array_equal(out.w[i::3], ref.w)
+        stacked = transform_mixture(
+            post, kernel.transitions, kernel.offsets, kernel.covariances,
+            model.alpha * kernel.weights,
+        )
+        np.testing.assert_array_equal(stacked.w, out.w)
+        np.testing.assert_array_equal(stacked.m, out.m)
+        np.testing.assert_array_equal(stacked.P, out.P)
 
     def test_single_term_keeps_the_direct_formula(self):
         # The formula spawn_intensity used before it shared the survivors'
