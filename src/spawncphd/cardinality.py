@@ -13,11 +13,22 @@ One cached table C(n, j) x^(n-j) is the kernel of the prediction (x = q_0),
 of survival thinning (x = 1 - p_s) and of the CPHD count update (x = 1 - p_d,
 as n!/(n-j)! = j! C(n, j)). Counts stop at `MAX_COUNT`, the range the count
 oracles cover; C(n, n/2) overflows float64 at n = 1030.
+
+`count_update` is the count side of the CPHD update (Vo, Vo & Cantoni, IEEE
+TSP 55(7), 2007): elementary symmetric functions (ESF) of the association
+strengths contract with the prior through that table, beta[j] = sum_n C(n, j)
+(1 - p_d)^(n-j) rho(n), and with degree weights u_c^(M-j) j! / s_w^j (u_c the
+clutter count, s_w the intensity mass) held as mantissas and powers of two.
+Each detection's leave-one-out contraction comes from prefix and suffix ESF
+tables without deflation (see `_esf_leave_one_out`). The strengths and u_c
+are divided by the largest of them (or 1); the ESF and the contraction
+coefficients each by one power of two, which the detection factors undo.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +40,20 @@ log = logging.getLogger(__name__)
 
 MAX_COUNT = 500  # largest n_max: the range the count oracles cover
 MAX_RATE = -float(np.log(np.finfo(float).tiny))  # ~708.4: exp(-rate) stays normal
+
+
+def _check_prob(p: float, name: str) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise InvalidModelError(f"{name} = {p} outside [0, 1]")
+    return p
+
+
+def _check_rate(r: float, name: str) -> float:
+    r = float(r)
+    if not (math.isfinite(r) and r >= 0.0):
+        raise InvalidModelError(f"{name} = {r} must be a finite nonnegative rate")
+    return r
 
 
 def _factorials(n: int) -> np.ndarray:
@@ -259,9 +284,7 @@ def map_estimate(rho: CardinalityDistribution) -> int:
 
 def binomial_thin(rho: CardinalityDistribution, p: float) -> CardinalityDistribution:
     """Each of n individuals independently survives with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"survival probability {p} outside [0, 1]")
-    p = float(p)
+    p = _check_prob(p, "survival probability")
     return CardinalityDistribution(_thinning(rho.n_max, p, 1.0 - p) @ rho.probs, normalize=True)
 
 
@@ -275,23 +298,88 @@ def convolve_counts(rho: CardinalityDistribution, pmf) -> CardinalityDistributio
     return CardinalityDistribution(out, normalize=True, deficit=max(0.0, 1.0 - total))
 
 
-def count_update_tables(N: int, M: int, qd: float, u_c: float, s_w: float) -> tuple:
-    """Tables over (order j <= min(M, N), count n) of the CPHD count update
-    (Vo, Vo & Cantoni, IEEE TSP 55(7), 2007), with B the (N, qd) binomial
-    table and W_j = u_c^(M-j) j! / s_w^j: C0[j] = W_j B[j], C1[j] = W_j (j+1)
-    / s_w B[j+1] and Cm[j] = W_(j+1) B[j+1], 0 for j >= M; qd = 1 - p_d, u_c
-    the scaled clutter count, s_w the intensity mass. Row j holds W_j / u_c^M
-    (W_j if u_c = 0, where only W_M is nonzero) as a mantissa times 2^x[j],
-    2^x[j+1] in Cm, so no degree over- or underflows."""
-    K = min(M, N)
-    B = _binomial_table(N, qd)
+def _degree_weights(K: int, M: int, u_c: float, s_w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The count update's degree weights W_j = u_c^(M-j) j! / s_w^j for j =
+    0..K+1, divided by u_c^M (W_j itself if u_c = 0, where only W_M is
+    nonzero), as mantissas times 2^x[j], so no degree over- or underflows."""
     j = np.arange(K + 2)
     # j! / (a s_w)^j, a = u_c or 1, by ratios (j + 1) / (a s_w): mantissas stay >= 2^-(K+1)
     (ma, ea), (mw, ew) = np.frexp(u_c if u_c > 0.0 else 1.0), np.frexp(s_w)
     r, re = np.frexp(j[1:] / (ma * mw))
     mant, x = np.frexp(np.cumprod(np.append(1.0, r)))
     x += np.append(0, np.cumsum(re)) - j * (ea + ew)
-    mant = np.where((j == M) | (u_c > 0.0), mant, 0.0)
-    C0 = mant[: K + 1, None] * B[: K + 1]
-    C1 = (mant[: K + 1] * (j[1:] / s_w))[:, None] * B[1 : K + 2]
-    return C0, C1, np.where(j[:-1] < M, mant[1:], 0.0)[:, None] * B[1 : K + 2], x
+    return np.where((j == M) | (u_c > 0.0), mant, 0.0), x
+
+
+def _prefix_esf(u: np.ndarray, K: int) -> np.ndarray:
+    """Elementary symmetric functions of prefixes, for each sequence in u.
+
+    u is (..., M); entry [..., i, k] of the (..., M + 1, K + 1) result is
+    e_k(u[..., :i]). Built one degree at a time: e_k(u[:i+1]) = e_k(u[:i]) +
+    u[i] e_{k-1}(u[:i]) is a running sum over i, so each degree is one
+    left-to-right accumulate that rounds exactly as the recursion does.
+    """
+    T = np.zeros((K + 1,) + u.shape[:-1] + (u.shape[-1] + 1,))
+    T[0] = 1.0
+    for k in range(1, K + 1):
+        np.multiply(u, T[k - 1, ..., :-1], out=T[k, ..., 1:])
+        np.add.accumulate(T[k], axis=-1, out=T[k])
+    return np.moveaxis(T, 0, -1).copy()
+
+
+def _esf_leave_one_out(u: np.ndarray, K: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_K of all of u, and sum_k c_k e_k(u without u_i) for every i.
+
+    e_k(u without u_i) = sum_a e_a(u[:i]) e_{k-a}(u[i+1:]), so the contraction
+    with c is sum_a sum_b PR[i, a] c[a + b] SF[i + 1, b]: one GEMM of the
+    prefix table with the Hankel matrix c[a + b] (zero past degree K), then a
+    row-wise dot with the suffix table. No leave-one-out table is formed, and
+    no polynomial is deflated, which would cancel when the entries vary by
+    orders of magnitude; for nonnegative u and c every term is nonnegative.
+    Returns (full (K+1,), contracted (M,)).
+    """
+    M = u.shape[0]
+    PR, SF = _prefix_esf(np.stack([u, u[::-1]]), K)
+    t = np.arange(K + 1)
+    deg = t[:, None] + t[None, :]
+    Hc = np.where(deg <= K, c[np.minimum(deg, K)], 0.0)
+    return PR[M].copy(), ((PR[:M] @ Hc) * SF[::-1][1:]).sum(axis=1)
+
+
+def count_update(
+    rho: CardinalityDistribution, assoc: np.ndarray, lam_c: float, s_w: float, qd: float
+) -> tuple[CardinalityDistribution, float, float, np.ndarray]:
+    """The count side of the CPHD update (see the module docstring): `assoc`
+    holds the M association strengths, `lam_c` the clutter count, `s_w` the
+    intensity mass, `qd` = 1 - p_d. Returns the posterior counts, the miss
+    ratio r_miss (a missed component weighs r_miss qd w_j), the strength
+    scale s and g (M,): detection i's weights are w_j N(z_i; H m_j, S_j)
+    times s p_d V, then times g_i. Raises `NumericalError` if the ESF
+    overflow or the scan has zero likelihood."""
+    M, N = assoc.shape[0], rho.n_max
+    K = min(M, N)
+    s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
+    s_w = s_w if s_w > 0.0 else 1.0  # massless: every u_i = 0, only degree 0 (free of s_w) counts
+    B = _binomial_table(N, qd)
+    beta = B[: K + 2] @ rho.probs  # beta[j] = sum_n C(n, j) qd^(n-j) rho(n)
+    mant, x = _degree_weights(K, M, s * lam_c, s_w)
+    cm = mant[1:] * beta[1:]  # its largest term 2^x[j+1] cm[j] is scaled near 1 by 2^-cx
+    cm[M:] = 0.0
+    cx = np.max(np.frexp(cm)[1] + x[1:], where=cm > 0.0, initial=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        e, loo_c = _esf_leave_one_out(s * assoc, K, np.ldexp(cm, x[1:] - cx))
+    if not (np.isfinite(e).all() and np.isfinite(loo_c).all()):
+        raise NumericalError(
+            f"ESF of {M} association strengths overflow float64 (degree <= {K})"
+        )
+    t = e * mant[:-1]  # the terms e_j W_j, each as a mantissa times 2^x[j]
+    c = np.max(np.frexp(t)[1] + x[:-1], where=t > 0.0, initial=0)
+    a = np.ldexp(e, x[:-1] - c) * mant[:-1]
+    ups0 = a @ B[: K + 1]
+    den = float(ups0 @ rho.probs)
+    if not den > 0.0:
+        raise NumericalError("the scan has zero likelihood under the predicted counts")
+    r_miss = float((a * (np.arange(1, K + 2) / s_w)) @ beta[1:]) / den
+    dm, de = np.frexp(den)
+    g = np.ldexp(loo_c / dm, cx - c - de)
+    return CardinalityDistribution(ups0 * rho.probs, normalize=True), r_miss, s, g

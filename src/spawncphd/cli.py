@@ -26,16 +26,12 @@ from .spawning import bell_coefficients
 
 def _jobs_from(args) -> int:
     if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get("SPAWNCPHD_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"SPAWNCPHD_JOBS = {raw!r} is not an integer") from None
-    if jobs < 1:
-        raise ConfigError(f"jobs = {jobs} must be positive")
-    return jobs
+        return args.jobs
+    raw = os.environ.get("SPAWNCPHD_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"SPAWNCPHD_JOBS = {raw!r} is not an integer") from None
 
 
 def _cmd_run(args) -> int:

@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .cardinality import MAX_RATE
+from .cardinality import MAX_RATE, _check_prob, _check_rate
 from .errors import ConfigError, InvalidModelError
 from .filtering import DEFAULT_REDUCTION, Rect
 from .gaussian import ReductionConfig
@@ -21,8 +21,6 @@ from .spawning import (
     PoissonSpawn,
     SpawnModel,
     ZeroInflatedPoissonSpawn,
-    _check_prob,
-    _check_rate,
 )
 
 CSV_HEADER = "run,scan,model,true_n,map_n,ospa_pos,ospa_vel,hellinger_pred,hellinger_upd"

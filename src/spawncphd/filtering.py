@@ -6,28 +6,16 @@ an explicit distribution over the target count. Two prediction flavors exist,
 locations) and `predict_birth` (independent spontaneous appearances), sharing
 the same `update` step.
 
-The update propagates the count distribution jointly with the intensity:
-elementary symmetric functions (ESF) of the per-measurement association
-strengths contract with `cardinality.count_update_tables`: rows of the
-binomial table C(n, j) (1 - p_d)^(n-j) that also drives both predictions (the
-paper's Bell factorials cancel exactly), times degree weights
-u_c^(M-j) j! / s_w^j held as mantissas and powers of two. A detection's
-weight needs one contraction of its leave-one-out ESF, which prefix and
-suffix tables give as one GEMM with a Hankel matrix, without the
-cancellation of polynomial deflation (see `_esf_leave_one_out`). All per-measurement and per-component work is
-batched over contiguous (component, measurement) tables. Innovations and the
-Mahalanobis form go in blocks of whole components, at most `_PAIR_BLOCK`
-pairs each, one measurement coordinate at a time (the bits of numpy's
-trailing-axis sum for k <= 7 coordinates). What stays per pair is the
-likelihood table, which becomes the detection weights in place: 8 bytes a
-pair, released before the posterior is reduced. The exact and the reduced
-posterior share one assembly path: the kept pairs, `np.nonzero` of the
-transposed table against a threshold (0 for the exact posterior), come
-measurement-major, as the posterior lists them, and go into posterior arrays
-allocated once: 168 bytes a kept pair for d = 4. The association
-strengths and the clutter count are divided by the largest of them (or 1);
-the ESF and the contraction coefficients each by one power of two, which the
-detection weights undo exactly.
+The update does the Gaussian work and hands its association strengths to
+`cardinality.count_update` for the counts. Per-pair work is batched over
+contiguous (component, measurement) tables: innovations and the Mahalanobis
+form go in blocks of whole components, at most `_PAIR_BLOCK` pairs, one
+measurement coordinate at a time (the bits of numpy's trailing-axis sum for
+k <= 7). The likelihood table, 8 bytes a pair, becomes the detection weights
+in place and is released before the reduction. The exact and the reduced
+posterior share one assembly: the kept pairs, `np.nonzero` of the transposed
+table against a threshold (0 when exact), come measurement-major and fill
+posterior arrays allocated once, 168 bytes a kept pair for d = 4.
 """
 
 from __future__ import annotations
@@ -39,9 +27,11 @@ import numpy as np
 
 from .cardinality import (
     CardinalityDistribution,
+    _check_prob,
+    _check_rate,
     binomial_thin,
     convolve_counts,
-    count_update_tables,
+    count_update,
     map_estimate,
     poisson_pmf,
     predict_cardinality,
@@ -54,7 +44,7 @@ from .gaussian import (
     reduce_mixture,
     transform_mixture,
 )
-from .spawning import SpawnModel, _check_prob, _check_rate, bell_coefficients, spawn_intensity
+from .spawning import SpawnModel, bell_coefficients, spawn_intensity
 
 log = logging.getLogger(__name__)
 
@@ -286,41 +276,6 @@ def _innovation_stats(mix: GaussianMixture, H: np.ndarray, R: np.ndarray):
     return Sinv, K, P_upd, norm
 
 
-def _prefix_esf(u: np.ndarray, K: int) -> np.ndarray:
-    """Elementary symmetric functions of prefixes, for each sequence in u.
-
-    u is (..., M); entry [..., i, k] of the (..., M + 1, K + 1) result is
-    e_k(u[..., :i]). Built one degree at a time: e_k(u[:i+1]) = e_k(u[:i]) +
-    u[i] e_{k-1}(u[:i]) is a running sum over i, so each degree is one
-    left-to-right accumulate that rounds exactly as the recursion does.
-    """
-    T = np.zeros((K + 1,) + u.shape[:-1] + (u.shape[-1] + 1,))
-    T[0] = 1.0
-    for k in range(1, K + 1):
-        np.multiply(u, T[k - 1, ..., :-1], out=T[k, ..., 1:])
-        np.add.accumulate(T[k], axis=-1, out=T[k])
-    return np.moveaxis(T, 0, -1).copy()
-
-
-def _esf_leave_one_out(u: np.ndarray, K: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e_0..e_K of all of u, and sum_k c_k e_k(u without u_i) for every i.
-
-    e_k(u without u_i) = sum_a e_a(u[:i]) e_{k-a}(u[i+1:]), so the contraction
-    with c is sum_a sum_b PR[i, a] c[a + b] SF[i + 1, b]: one GEMM of the
-    prefix table with the Hankel matrix c[a + b] (zero past degree K), then a
-    row-wise dot with the suffix table. No leave-one-out table is formed, and
-    no polynomial is deflated, which would cancel when the entries vary by
-    orders of magnitude; for nonnegative u and c every term is nonnegative.
-    Returns (full (K+1,), contracted (M,)).
-    """
-    M = u.shape[0]
-    PR, SF = _prefix_esf(np.stack([u, u[::-1]]), K)
-    t = np.arange(K + 1)
-    deg = t[:, None] + t[None, :]
-    Hc = np.where(deg <= K, c[np.minimum(deg, K)], 0.0)
-    return PR[M].copy(), ((PR[:M] @ Hc) * SF[::-1][1:]).sum(axis=1)
-
-
 def update(
     state: FilterState,
     scan,
@@ -334,13 +289,13 @@ def update(
     mixture: every weight, all >= 0, where a reduction first keeps those >=
     its trunc_threshold, through the same assembly. The quadratic forms
     round as numpy's trailing-axis sum does for k <= 7 measurement
-    coordinates (pairwise from 8); every configured sensor has k = 2. A
-    `NumericalError` is raised if an innovation covariance H P H^T + R is not
-    positive definite, the strengths' ESF (e_K <= C(M, K)) overflow float64
-    or the scan has zero likelihood under the predicted counts. An empty or
-    massless intensity takes the same path: every association strength is 0,
-    so the count pmf becomes (1 - p_d)^n rho(n), renormalized, and a scan
-    without clutter to explain it has zero likelihood; with `reduction=None` a
+    coordinates (pairwise from 8); every configured sensor has k = 2. An
+    `InvalidModelError` is raised if the intensity's state dimension is not
+    the sensor's; a `NumericalError` if an innovation covariance H P H^T + R
+    is not positive definite, or by `count_update`. An empty or massless
+    intensity takes the same path: every association strength is 0, so the
+    count pmf becomes (1 - p_d)^n rho(n), renormalized, and a scan without
+    clutter to explain it has zero likelihood; with `reduction=None` a
     massless intensity of J components lists its J (M + 1) zero-weight rows.
 
     Memory: innovations are formed in blocks of whole components, at most
@@ -360,9 +315,11 @@ def update(
             "zero clutter rate with a nonempty scan requires certain detection"
         )
 
-    rho = state.cardinality.probs
-    N = state.cardinality.n_max
     mix = state.intensity
+    if mix.dim != sensor.H.shape[1]:
+        raise InvalidModelError(
+            f"intensity state dimension {mix.dim} does not match the sensor's {sensor.H.shape[1]}"
+        )
     J = len(mix)
     s_w = mix.total_weight
     qd = 1.0 - p_d
@@ -392,43 +349,17 @@ def update(
     q /= norm[:, None]
     assoc = p_d * (mix.w @ q) * V  # association strength per measurement
 
-    s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
-    u = s * assoc
-    u_c = s * lam_c
-
-    # A massless intensity has every u_i = 0: only degree 0, free of s_w, counts.
-    C0, C1, Cm, x = count_update_tables(N, M, qd, u_c, s_w if s_w > 0.0 else 1.0)
-    cm = Cm @ rho  # its largest term 2^x[j+1] cm[j] is scaled near 1 by 2^-cx
-    cx = np.max(np.frexp(cm)[1] + x[1:], where=cm > 0.0, initial=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        e_full, loo_c = _esf_leave_one_out(u, min(M, N), np.ldexp(cm, x[1:] - cx))
-    if not (np.isfinite(e_full).all() and np.isfinite(loo_c).all()):
-        raise NumericalError(
-            f"ESF of {M} association strengths overflow float64 (degree <= {min(M, N)})"
-        )
-    t = e_full * np.diagonal(C0)  # the terms e_j W_j: C0[j, j] is W_j's mantissa
-    c = np.max(np.frexp(t)[1] + x[:-1], where=t > 0.0, initial=0)
-    e_full = np.ldexp(e_full, x[:-1] - c)
-    ups0 = e_full @ C0  # (N+1,)
-    ups1 = e_full @ C1
-
-    den = float(ups0 @ rho)
-    if not den > 0.0:
-        raise NumericalError("the scan has zero likelihood under the predicted counts")
-    rho_new = CardinalityDistribution(ups0 * rho, normalize=True)
-
-    r_miss = float(ups1 @ rho) / den
+    rho_new, r_miss, s, g = count_update(state.cardinality, assoc, lam_c, s_w, qd)
     w_miss = r_miss * qd * mix.w
 
     # One assembly path: the exact posterior keeps every weight, all >= 0.
     thr = 0.0 if reduction is None else reduction.trunc_threshold
     keep_m = w_miss >= thr
     if p_d > 0.0:  # p_d = 0: no detection rows, not even exact zero-weight ones
-        # Detection weights in place: w_j q_ji, times s p_d V, times loo_c[i] / den, unshifted.
+        # Detection weights in place: w_j q_ji, times s p_d V, times g_i.
         q *= mix.w[:, None]
         q *= s * p_d * V
-        dm, de = np.frexp(den)
-        q *= np.ldexp(loo_c / dm, cx - c - de)
+        q *= g
         i_meas, j_comp = np.nonzero(q.T >= thr)  # measurement-major, as listed
     else:
         i_meas = j_comp = np.empty(0, dtype=np.intp)

@@ -20,13 +20,12 @@ push that also moves the survivors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .cardinality import BellCoefficients, poisson_pmf
+from .cardinality import BellCoefficients, _check_prob, _check_rate, poisson_pmf
 from .errors import InvalidModelError
 from .gaussian import GaussianMixture, _require_psd, transform_mixture
 
@@ -82,20 +81,6 @@ class SpawnSpatialModel:
 def unit_spawn_kernel(dim: int) -> SpawnSpatialModel:
     """Identity kernel (daughter state = parent state), for count-only uses."""
     return SpawnSpatialModel.single(np.eye(dim), np.zeros(dim), np.zeros((dim, dim)))
-
-
-def _check_prob(p: float, name: str) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidModelError(f"{name} = {p} outside [0, 1]")
-    return p
-
-
-def _check_rate(r: float, name: str) -> float:
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise InvalidModelError(f"{name} = {r} must be a finite nonnegative rate")
-    return r
 
 
 @dataclass(eq=False)

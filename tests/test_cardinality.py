@@ -17,19 +17,19 @@ from scipy import stats
 from spawncphd.cardinality import (
     MAX_RATE,
     CardinalityDistribution,
+    _degree_weights,
     _factorials,
     _pascal,
     bell_triangle,
     binomial_thin,
     convolve_counts,
-    count_update_tables,
     map_estimate,
     partial_bell,
     pgf_compose_oracle,
     poisson_pmf,
     predict_cardinality,
 )
-from spawncphd.errors import DomainError
+from spawncphd.errors import DomainError, InvalidModelError
 from spawncphd.spawning import (
     BernoulliSpawn,
     PoissonSpawn,
@@ -410,43 +410,35 @@ class TestCachedTablesBitIdentity:
             assert np.array_equal(got.probs, reference_binomial_thin(rho, p).probs)
 
 
-# ---------------------------------------------------------------- update tables
+# ---------------------------------------------------------------- update degree weights
 
 
-class TestCountUpdateTables:
+class TestDegreeWeights:
+    """The degree-weight step of `count_update`; the weights it forms from
+    them are judged by the count-update referee in test_filtering."""
+
     @pytest.mark.parametrize("N, M", [(171, 171), (300, 170), (500, 600), (500, 2000)])
     def test_degrees_beyond_float64_factorials(self, N, M):
         # The degree weights reach (min(M, N) + 1)! / s_w^(K+1), past float64
-        # from 171! on: each table row holds a mantissa, x its power of two.
-        C0, C1, Cm, x = count_update_tables(N, M, 0.1, 0.5, 3.0)
-        for table in (C0, C1, Cm):
-            assert table.shape == (min(M, N) + 1, N + 1)
-            assert np.all(np.isfinite(table))
-        assert x.shape == (min(M, N) + 2,) and np.issubdtype(x.dtype, np.integer)
+        # from 171! on: each is a mantissa, x its power of two.
+        K = min(M, N)
+        mant, x = _degree_weights(K, M, 0.5, 3.0)
+        assert mant.shape == x.shape == (K + 2,) and np.issubdtype(x.dtype, np.integer)
+        assert np.all((mant >= 0.5) & (mant < 1.0))
 
     @pytest.mark.parametrize(
         "N, M, u_c", [(20, 12, 0.5), (20, 12, 0.0), (170, 169, 0.9), (170, 400, 0.99), (300, 169, 0.9)]
     )
     def test_weights_equal_float_weights(self, N, M, u_c):
-        # The float weights W_j = u_c^(M-j) j! / s_w^j, (j+1) W_j / s_w and
-        # W_(j+1) of C0, C1 and Cm, where they are normal floats, against
-        # mantissa times 2^x times the dropped u_c^M. The mantissas stand at
-        # counts n = j and j + 1, where the binomial table holds 1.
+        # The float weights W_j = u_c^(M-j) j! / s_w^j, where they are normal
+        # floats, against mantissa times 2^x times the dropped u_c^M.
         s_w, tiny = 3.0, np.finfo(float).tiny
-        C0, C1, Cm, x = count_update_tables(N, M, 0.1, u_c, s_w)
+        mant, x = _degree_weights(min(M, N), M, u_c, s_w)
         common = u_c**M if u_c > 0.0 else 1.0
-        for j in range(min(M, N, 169) + 1):
-            old = [
-                u_c ** (M - j) * math.factorial(j) / s_w**j,
-                u_c ** (M - j) * math.factorial(j + 1) / s_w ** (j + 1),
-                u_c ** (M - 1 - j) * math.factorial(j + 1) / s_w ** (j + 1) if j < M else 0.0,
-            ]
-            new = [np.ldexp(C0[j, j], x[j])]
-            if j < N:
-                new += [np.ldexp(C1[j, j + 1], x[j]), np.ldexp(Cm[j, j + 1], x[j + 1])]
-            for got, want in zip(new, old):
-                if want == 0.0 or want >= tiny:
-                    assert got * common == pytest.approx(want, rel=1e-13, abs=0.0), j
+        for j in range(min(M, N, 170) + 1):
+            want = u_c ** (M - j) * math.factorial(j) / s_w**j
+            if want == 0.0 or want >= tiny:
+                assert np.ldexp(mant[j], x[j]) * common == pytest.approx(want, rel=1e-13, abs=0.0), j
 
 
 # ---------------------------------------------------------------- MAP
@@ -508,6 +500,11 @@ class TestCardinalityDistribution:
     def test_map_estimate_ties_take_smaller(self):
         rho = CardinalityDistribution(np.array([0.4, 0.4, 0.2]))
         assert map_estimate(rho) == 0
+
+    def test_binomial_thin_refuses_a_non_probability(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(InvalidModelError, match=r"survival probability = .* outside \[0, 1\]"):
+                binomial_thin(CardinalityDistribution.delta(2, 5), p)
 
     def test_binomial_thin_matches_scipy(self):
         rho = CardinalityDistribution.delta(5, 8)

@@ -16,10 +16,13 @@ from scipy import stats
 from spawncphd import filtering
 from spawncphd.cardinality import (
     CardinalityDistribution,
+    _esf_leave_one_out,
     _factorials,
+    _prefix_esf,
+    count_update,
     predict_cardinality,
 )
-from spawncphd.errors import ConfigError, NumericalError
+from spawncphd.errors import ConfigError, InvalidModelError, NumericalError
 from spawncphd.filtering import (
     DEFAULT_REDUCTION,
     BirthModel,
@@ -29,9 +32,7 @@ from spawncphd.filtering import (
     SensorModel,
     _as_scan_array,
     _checked,
-    _esf_leave_one_out,
     _innovation_stats,
-    _prefix_esf,
     extract_estimates,
     predict_birth,
     predict_spawning,
@@ -358,6 +359,14 @@ class TestUpdate:
         reduced = update(FilterState(mix, rho), scan, SENSOR)
         assert len(reduced.intensity) == 0
         np.testing.assert_array_equal(reduced.cardinality.probs, empty.cardinality.probs)
+
+    @pytest.mark.parametrize("J", [0, 2])
+    def test_state_dimension_must_match_the_sensor(self, J):
+        # A 2-d intensity under the 2 x 4 position sensor.
+        mix = GaussianMixture(np.ones(J), np.zeros((J, 2)), np.tile(np.eye(2), (J, 1, 1)))
+        state = FilterState(mix, CardinalityDistribution.poisson(1.0, 10))
+        with pytest.raises(InvalidModelError, match="state dimension 2 does not match the sensor's 4"):
+            update(state, np.array([[10.0, 10.0]]), SENSOR)
 
     def test_underflowed_normalizer_aborts(self):
         # A count distribution pinned at 20 targets with certain detection and
@@ -713,6 +722,68 @@ class TestCountReferee:
         assert_update_matches_referee(*referee_scene(M, n_max, p_d, clutter_rate, 10.0**log_s_w, seed))
 
 
+def referee_count_outputs(rho, assoc, lam_c, s_w, qd):
+    """`count_update`'s counts, miss ratio and detection factors s g_i at 50
+    digits, from its inputs alone:
+    with e_j the ESF of the strengths and den = sum_n rho(n) ups0(n),
+    ups0(n) = sum_j lam^(M-j) n!/(n-j)! qd^(n-j) e_j / s_w^j,
+    r_miss = sum_n rho(n) sum_j lam^(M-j) n!/(n-j-1)! qd^(n-j-1) e_j / s_w^(j+1) / den,
+    g_i = sum_n rho(n) sum_j lam^(M-1-j) n!/(n-j-1)! qd^(n-j-1) e_j(assoc without i) / s_w^(j+1) / den.
+    The sums over n are taken per degree first. Returns (probs, r_miss, g)
+    as floats."""
+    N, M = rho.shape[0] - 1, assoc.shape[0]
+    K = min(M, N)
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        lam, qd, s_w = mpf(lam_c), mpf(qd), mpf(s_w)
+        a, rho_mp = [mpf(v) for v in assoc], [mpf(r) for r in rho]
+
+        def esf(vals):
+            e = [mpf(1)] + [mpf(0)] * K
+            for v in vals:
+                for deg in range(K, 0, -1):
+                    e[deg] += v * e[deg - 1]
+            return e
+
+        qd_pow = [qd**i for i in range(N + 1)]
+        # P1[j] = sum_n rho(n) n!/(n-j-1)! qd^(n-j-1)
+        P1 = [mpmath.fsum(rho_mp[n] * math.perm(n, j + 1) * qd_pow[n - j - 1] for n in range(j + 1, N + 1))
+              for j in range(K + 1)]
+        e = esf(a)
+        c = [lam ** (M - j) * e[j] / s_w**j for j in range(K + 1)]
+        ups0 = [mpmath.fsum(c[j] * math.perm(n, j) * qd_pow[n - j] for j in range(min(n, K) + 1))
+                for n in range(N + 1)]
+        den = mpmath.fsum(r * u for r, u in zip(rho_mp, ups0))
+        r_miss = mpmath.fsum(c[j] * P1[j] for j in range(K + 1)) / (s_w * den)
+        g = []
+        for i in range(M):
+            e_i = esf(a[:i] + a[i + 1 :])
+            g.append(mpmath.fsum(lam ** (M - 1 - j) * e_i[j] * P1[j] / s_w ** (j + 1)
+                                 for j in range(min(K, M - 1) + 1)) / den)
+        probs = np.array([float(r * u / den) for r, u in zip(rho_mp, ups0)])
+        return probs, float(r_miss), np.array([float(v) for v in g])
+
+
+class TestCountUpdateReferee:
+    """`count_update`'s posterior counts, miss ratio and detection factors
+    against the 50-digit referee, past float64 factorials in n_max."""
+
+    @pytest.mark.parametrize("lam_c", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("n_max", [20, 100, 200, 500])
+    def test_grid(self, n_max, lam_c):
+        rng = np.random.default_rng(n_max + int(10 * lam_c))
+        for M, qd in [(0, 0.5), (1, 1.0), (7, 0.05), (20, 0.0), (20, 0.7)]:
+            rho = CardinalityDistribution(rng.uniform(0.1, 1.0, n_max + 1), normalize=True)
+            assoc = 10.0 ** rng.uniform(-3.0, 2.0, M)
+            s_w = 10.0 ** rng.uniform(-2.0, 2.0)
+            ref = referee_count_outputs(rho.probs, assoc, lam_c, s_w, qd)
+            got, r_miss, s, g = count_update(rho, assoc, lam_c, s_w, qd)
+            assert_matches_referee(got.probs, ref[0])
+            assert_matches_referee(np.array([r_miss]), np.array([ref[1]]))
+            assert g.shape == (M,)
+            assert_matches_referee(s * g, ref[2])
+
+
 def reference_update(
     state: FilterState,
     scan,
@@ -1065,8 +1136,6 @@ class TestModels:
         )
 
     def test_invalid_probabilities_rejected(self):
-        from spawncphd.errors import InvalidModelError
-
         with pytest.raises(InvalidModelError):
             MotionModel.constant_velocity(1.0, 5.0, p_s=1.5)
         with pytest.raises(InvalidModelError):
