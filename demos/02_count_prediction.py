@@ -58,7 +58,7 @@ print(" fastest, because its spawn mass arrives in whole broods.)\n")
 # Two independent routes to the same answer.
 for name, model in models.items():
     b = bell_coefficients(model, P_S, N_MAX)
-    composed = pgf_compose_oracle(prior, b.offspring_pmf())
+    composed = pgf_compose_oracle(prior, b.pmf)
     sampled = mc_branching_oracle(prior, model, P_S, 1_000_000, np.random.default_rng(7))
     sup = np.abs(predicted[name].probs - composed.probs).max()
     tv = 0.5 * np.abs(predicted[name].probs - sampled.probs).sum()

@@ -15,14 +15,14 @@ as n!/(n-j)! = j! C(n, j)). Counts stop at `MAX_COUNT`, the range the count
 oracles cover; C(n, n/2) overflows float64 at n = 1030.
 
 `count_update` is the count side of the CPHD update (Vo, Vo & Cantoni, IEEE
-TSP 55(7), 2007): elementary symmetric functions (ESF) of the association
+TSP 55(7), 2007): elementary symmetric functions (ESF) e_j of the association
 strengths contract with the prior through that table, beta[j] = sum_n C(n, j)
-(1 - p_d)^(n-j) rho(n), and with degree weights u_c^(M-j) j! / s_w^j (u_c the
-clutter count, s_w the intensity mass) held as mantissas and powers of two.
-Each detection's leave-one-out contraction comes from prefix and suffix ESF
-tables without deflation (see `_esf_leave_one_out`). The strengths and u_c
-are divided by the largest of them (or 1); the ESF and the contraction
-coefficients each by one power of two, which the detection factors undo.
+(1 - p_d)^(n-j) rho(n), and with degree weights W_j = u_c^(M-j) j! / s_w^j (u_c
+the clutter count, s_w the intensity mass). All three are mantissas times
+powers of two, the ESF with one power per degree, and one shift 2^-c from the
+largest term e_j W_j beta_j scales the counts, the miss ratio and each
+detection's leave-one-out contraction (prefix and suffix ESF tables, no
+deflation). Only a likelihood resting on subnormal prior mass is refused.
 """
 
 from __future__ import annotations
@@ -148,9 +148,6 @@ class BellCoefficients:
     def b(self) -> np.ndarray:
         """The paper's factorial-scaled coefficients b[i] = i! * pmf[i]."""
         return self.pmf * _factorials(self.n_max)
-
-    def offspring_pmf(self) -> np.ndarray:
-        return self.pmf
 
 
 def poisson_pmf(rate: float, n_max: int) -> np.ndarray:
@@ -311,75 +308,83 @@ def _degree_weights(K: int, M: int, u_c: float, s_w: float) -> tuple[np.ndarray,
     return np.where((j == M) | (u_c > 0.0), mant, 0.0), x
 
 
-def _prefix_esf(u: np.ndarray, K: int) -> np.ndarray:
-    """Elementary symmetric functions of prefixes, for each sequence in u.
+def _prefix_esf(u: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elementary symmetric functions of prefixes, for each sequence in u,
+    with one power of two per degree.
 
-    u is (..., M); entry [..., i, k] of the (..., M + 1, K + 1) result is
-    e_k(u[..., :i]). Built one degree at a time: e_k(u[:i+1]) = e_k(u[:i]) +
-    u[i] e_{k-1}(u[:i]) is a running sum over i, so each degree is one
-    left-to-right accumulate that rounds exactly as the recursion does.
+    Returns (table, y): entry [..., i, k] of the (..., M + 1, K + 1) table is
+    e_k(u[..., :i]) 2^-y[k] for u of shape (..., M). Built one degree at a
+    time: e_k(u[:i+1]) = e_k(u[:i]) + u[i] e_{k-1}(u[:i]) is a running sum
+    over i, one left-to-right accumulate that rounds as the recursion does.
+    For u >= 0, u is first scaled by a power of two to its largest entry
+    near 1, and a degree whose largest last entry, its column's largest,
+    leaves [2^-200, 2^200] is scaled back near 1: no degree overflows while
+    the next is formed from it.
     """
+    t = math.frexp(float(u.max(initial=0.0)))[1]
+    u = np.ldexp(u, -t)
     T = np.zeros((K + 1,) + u.shape[:-1] + (u.shape[-1] + 1,))
     T[0] = 1.0
+    last = T[..., -1].reshape(K + 1, -1)  # a view: each degree's last entries
+    y = t * np.arange(K + 1)
     for k in range(1, K + 1):
         np.multiply(u, T[k - 1, ..., :-1], out=T[k, ..., 1:])
         np.add.accumulate(T[k], axis=-1, out=T[k])
-    return np.moveaxis(T, 0, -1).copy()
-
-
-def _esf_leave_one_out(u: np.ndarray, K: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e_0..e_K of all of u, and sum_k c_k e_k(u without u_i) for every i.
-
-    e_k(u without u_i) = sum_a e_a(u[:i]) e_{k-a}(u[i+1:]), so the contraction
-    with c is sum_a sum_b PR[i, a] c[a + b] SF[i + 1, b]: one GEMM of the
-    prefix table with the Hankel matrix c[a + b] (zero past degree K), then a
-    row-wise dot with the suffix table. No leave-one-out table is formed, and
-    no polynomial is deflated, which would cancel when the entries vary by
-    orders of magnitude; for nonnegative u and c every term is nonnegative.
-    Returns (full (K+1,), contracted (M,)).
-    """
-    M = u.shape[0]
-    PR, SF = _prefix_esf(np.stack([u, u[::-1]]), K)
-    t = np.arange(K + 1)
-    deg = t[:, None] + t[None, :]
-    Hc = np.where(deg <= K, c[np.minimum(deg, K)], 0.0)
-    return PR[M].copy(), ((PR[:M] @ Hc) * SF[::-1][1:]).sum(axis=1)
+        top = max(last[k].tolist())
+        if not 2.0**-200 <= top <= 2.0**200:
+            e = max(math.frexp(top)[1], -1000)  # a subnormal top is scaled to 2^-74 or more
+            T[k] *= 2.0**-e
+            y[k:] += e  # later degrees are formed from this one
+    return np.moveaxis(T, 0, -1).copy(), y
 
 
 def count_update(
     rho: CardinalityDistribution, assoc: np.ndarray, lam_c: float, s_w: float, qd: float
-) -> tuple[CardinalityDistribution, float, float, np.ndarray]:
+) -> tuple[CardinalityDistribution, float, np.ndarray]:
     """The count side of the CPHD update (see the module docstring): `assoc`
     holds the M association strengths, `lam_c` the clutter count, `s_w` the
     intensity mass, `qd` = 1 - p_d. Returns the posterior counts, the miss
-    ratio r_miss (a missed component weighs r_miss qd w_j), the strength
-    scale s and g (M,): detection i's weights are w_j N(z_i; H m_j, S_j)
-    times s p_d V, then times g_i. Raises `NumericalError` if the ESF
-    overflow or the scan has zero likelihood."""
+    ratio r_miss (a missed component weighs r_miss qd w_j) and g (M,):
+    detection i's weights are w_j N(z_i; H m_j, S_j) p_d V g_i. Raises
+    `NumericalError` if the scan has zero likelihood, or if its likelihood
+    rests on prior count mass below float64's normal range."""
     M, N = assoc.shape[0], rho.n_max
     K = min(M, N)
-    s = 1.0 / max(lam_c, float(assoc.max()) if M else 0.0, 1.0)
     s_w = s_w if s_w > 0.0 else 1.0  # massless: every u_i = 0, only degree 0 (free of s_w) counts
     B = _binomial_table(N, qd)
     beta = B[: K + 2] @ rho.probs  # beta[j] = sum_n C(n, j) qd^(n-j) rho(n)
-    mant, x = _degree_weights(K, M, s * lam_c, s_w)
-    cm = mant[1:] * beta[1:]  # its largest term 2^x[j+1] cm[j] is scaled near 1 by 2^-cx
-    cm[M:] = 0.0
-    cx = np.max(np.frexp(cm)[1] + x[1:], where=cm > 0.0, initial=0)
+    mb, eb = np.frexp(beta)
+    mant, x = _degree_weights(K, M, lam_c, s_w)
+    (PR, SF), y = _prefix_esf(np.stack([assoc, assoc[::-1]]), K)
+    # The normalizer's terms e_j W_j beta_j as mantissas times powers of two:
+    # its largest term is scaled near 1 by 2^-c.
+    ew, xw = PR[M] * mant[:-1], x[:-1] + y  # e_j W_j = ew[j] 2^xw[j]
+    t = ew * mb[:-1]
+    te = np.frexp(t)[1] + xw + eb[:-1]
+    c = te.max(where=t > 0.0, initial=te.min())  # every term may lie far below 1
+    # H[a, b] = W_{a+b+1} beta_{a+b+1} 2^(y_a + y_b - c), zero past degree
+    # min(K, M - 1): e_k(assoc without assoc_i) = sum_a e_a(prefix) e_{k-a}(suffix),
+    # so the leave-one-out contraction is one GEMM of the prefix table with
+    # H, then a row-wise product with the suffix table; no polynomial is
+    # deflated, and for nonnegative strengths every term is nonnegative.
+    # Entries are capped at 2^600 (strengths spanning hundreds of decades),
+    # so neither product overflows: table entries are at most 2^201. Those
+    # below 2^-1000 add less than 2^-598 and are dropped.
+    j = np.arange(K + 2)
+    deg = np.minimum(np.add.outer(j[:-1], j[:-1]), K + 1)  # a + b, K + 1 past degree K
+    hm = np.where(j < min(K + 1, M), np.append(mant[1:] * mb[1:], 0.0), 0.0)
+    he = np.append(x[1:] + eb[1:], 0)[deg] + np.add.outer(y, y - c)
+    H = np.where(he >= -1000, hm[deg] * np.exp2(np.clip(he, -1000, 600)), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        e, loo_c = _esf_leave_one_out(s * assoc, K, np.ldexp(cm, x[1:] - cx))
-    if not (np.isfinite(e).all() and np.isfinite(loo_c).all()):
+        a = np.where(mb[:-1] > 0.0, np.ldexp(ew, xw - c), 0.0)  # no prior mass at or above j: no term
+        ups0 = a @ B[: K + 1]
+        den = float(ups0 @ rho.probs)
+    if not math.isfinite(den):
         raise NumericalError(
-            f"ESF of {M} association strengths overflow float64 (degree <= {K})"
+            "the scan's likelihood rests on prior count mass below float64's normal range"
         )
-    t = e * mant[:-1]  # the terms e_j W_j, each as a mantissa times 2^x[j]
-    c = np.max(np.frexp(t)[1] + x[:-1], where=t > 0.0, initial=0)
-    a = np.ldexp(e, x[:-1] - c) * mant[:-1]
-    ups0 = a @ B[: K + 1]
-    den = float(ups0 @ rho.probs)
     if not den > 0.0:
         raise NumericalError("the scan has zero likelihood under the predicted counts")
-    r_miss = float((a * (np.arange(1, K + 2) / s_w)) @ beta[1:]) / den
-    dm, de = np.frexp(den)
-    g = np.ldexp(loo_c / dm, cx - c - de)
-    return CardinalityDistribution(ups0 * rho.probs, normalize=True), r_miss, s, g
+    r_miss = float(a @ (np.arange(1, K + 2) * beta[1:])) / (s_w * den)
+    g = ((PR[:M] @ H) * SF[::-1][1:]).sum(axis=1) / den
+    return CardinalityDistribution(ups0 * rho.probs, normalize=True), r_miss, g

@@ -349,16 +349,16 @@ def update(
     q /= norm[:, None]
     assoc = p_d * (mix.w @ q) * V  # association strength per measurement
 
-    rho_new, r_miss, s, g = count_update(state.cardinality, assoc, lam_c, s_w, qd)
+    rho_new, r_miss, g = count_update(state.cardinality, assoc, lam_c, s_w, qd)
     w_miss = r_miss * qd * mix.w
 
     # One assembly path: the exact posterior keeps every weight, all >= 0.
     thr = 0.0 if reduction is None else reduction.trunc_threshold
     keep_m = w_miss >= thr
     if p_d > 0.0:  # p_d = 0: no detection rows, not even exact zero-weight ones
-        # Detection weights in place: w_j q_ji, times s p_d V, times g_i.
+        # Detection weights in place: w_j q_ji, times p_d V, times g_i.
         q *= mix.w[:, None]
-        q *= s * p_d * V
+        q *= p_d * V
         q *= g
         i_meas, j_comp = np.nonzero(q.T >= thr)  # measurement-major, as listed
     else:

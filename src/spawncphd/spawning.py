@@ -159,11 +159,6 @@ class ZeroInflatedPoissonSpawn:
 SpawnModel = Union[BernoulliSpawn, PoissonSpawn, ZeroInflatedPoissonSpawn]
 
 
-def spawn_alpha(model: SpawnModel) -> float:
-    """Expected number of daughters per parent per scan."""
-    return model.alpha
-
-
 def bell_coefficients(model: SpawnModel, p_s: float, n_max: int) -> BellCoefficients:
     """Successor pmf q_i = P(i successors per parent); `.b` is i! q_i.
 
@@ -192,5 +187,5 @@ def spawn_intensity(posterior: GaussianMixture, model: SpawnModel) -> GaussianMi
             f"kernel dim {sp.dim} does not match posterior dim {posterior.dim}"
         )
     return transform_mixture(
-        posterior, sp.transitions, sp.offsets, sp.covariances, spawn_alpha(model) * sp.weights
+        posterior, sp.transitions, sp.offsets, sp.covariances, model.alpha * sp.weights
     )

@@ -49,7 +49,6 @@ from spawncphd.spawning import (
     PoissonSpawn,
     ZeroInflatedPoissonSpawn,
     bell_coefficients,
-    spawn_alpha,
     spawn_intensity,
     unit_spawn_kernel,
 )
@@ -89,7 +88,7 @@ def test_criterion_1_oracle_equivalence():
             raw = rng.random(21)
             rho = CardinalityDistribution(raw / raw.sum())
             analytic = predict_cardinality(rho, b)
-            composed = pgf_compose_oracle(rho, b.offspring_pmf())
+            composed = pgf_compose_oracle(rho, b.pmf)
             sup = float(np.abs(analytic.probs - composed.probs).max())
             assert sup < 1e-10, f"{type(model).__name__}: sup-norm {sup:.3e}"
             sampled = mc_branching_oracle(
@@ -247,7 +246,7 @@ def test_criterion_5_prediction_consistency():
     birth = scenario.birth_model()
     for name in cfg.models:
         spawn = None if name == "birth" else cfg.spawn_model(name)
-        growth = motion.p_s + (spawn_alpha(spawn) if spawn is not None else 0.0)
+        growth = motion.p_s + (spawn.alpha if spawn is not None else 0.0)
         if name == "birth":
             state = FilterState(
                 GaussianMixture.empty(4), CardinalityDistribution.delta(0, scenario.n_max)

@@ -208,7 +208,7 @@ class TestPredictCardinality:
         rng = np.random.default_rng(107)
         for model in MODELS:
             b = bell_coefficients(model, PS, 20)
-            pmf = b.offspring_pmf()
+            pmf = b.pmf
             for _ in range(6):
                 rho = random_prior(rng)
                 via_bell = predict_cardinality(rho, b)
@@ -223,7 +223,7 @@ class TestPredictCardinality:
             for model in MODELS:
                 b = bell_coefficients(model, p_s, n_max)
                 got = predict_cardinality(rho, b).probs
-                ref = pgf_compose_oracle(rho, b.offspring_pmf()).probs
+                ref = pgf_compose_oracle(rho, b.pmf).probs
                 assert np.abs(got - ref).max() <= 1e-12, (model, p_s)
 
     def test_expected_count_consistency(self):
@@ -232,7 +232,7 @@ class TestPredictCardinality:
         checked = 0
         for model in MODELS:
             b = bell_coefficients(model, PS, 20)
-            growth = float(np.sum(np.arange(21) * b.offspring_pmf()))
+            growth = float(np.sum(np.arange(21) * b.pmf))
             for _ in range(8):
                 rho = random_prior(rng, spread=4)
                 out = predict_cardinality(rho, b)

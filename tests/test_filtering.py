@@ -16,7 +16,7 @@ from scipy import stats
 from spawncphd import filtering
 from spawncphd.cardinality import (
     CardinalityDistribution,
-    _esf_leave_one_out,
+    _binomial_table,
     _factorials,
     _prefix_esf,
     count_update,
@@ -44,7 +44,6 @@ from spawncphd.spawning import (
     PoissonSpawn,
     SpawnSpatialModel,
     bell_coefficients,
-    spawn_alpha,
 )
 
 FOV = Rect(-1000.0, 1000.0, -1000.0, 1000.0)
@@ -118,7 +117,7 @@ class TestPredictSpawning:
         state = two_target_state()
         for model in [BernoulliSpawn(0.3, SPAWN_KERNEL), PoissonSpawn(0.7, SPAWN_KERNEL)]:
             pred = predict_spawning(state, MOTION, model)
-            g = MOTION.p_s + spawn_alpha(model)
+            g = MOTION.p_s + model.alpha
             np.testing.assert_allclose(
                 pred.intensity.total_weight, g * state.intensity.total_weight, rtol=1e-12
             )
@@ -178,22 +177,38 @@ class TestPredictBirth:
         np.testing.assert_array_equal(pred.intensity.P, ref.P)
 
 
+def esf_rows(u, K):
+    """Prefix ESF table T[i, k] = e_k(u[:i]), one row per prefix, updated in
+    place: the table's defining loop."""
+    T = np.zeros((u.shape[0] + 1, K + 1))
+    row = np.zeros(K + 1)
+    row[0] = 1.0
+    T[0] = row
+    for i in range(u.shape[0]):
+        row[1:] += u[i] * row[:-1]
+        T[i + 1] = row
+    return T
+
+
 class TestPrefixESF:
-    """The last row of the prefix table is e_0..e_n of the whole input."""
+    """The last row of the prefix table is e_0..e_n of the whole input, each
+    degree times its power of two 2^-y[k]."""
 
     def test_hand_values(self):
         v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(_prefix_esf(v, len(v))[-1], [1.0, 6.0, 11.0, 6.0])
+        T, y = _prefix_esf(v, len(v))
+        np.testing.assert_array_equal(np.ldexp(T[-1], y), [1.0, 6.0, 11.0, 6.0])
 
     def test_empty(self):
-        np.testing.assert_array_equal(_prefix_esf(np.array([]), 0)[-1], [1.0])
+        np.testing.assert_array_equal(_prefix_esf(np.array([]), 0)[0][-1], [1.0])
 
     def test_matches_bruteforce_subsets(self):
         rng = np.random.default_rng(127)
         for _ in range(30):
             n = int(rng.integers(0, 13))
             vals = rng.integers(-3, 4, size=n).astype(float)
-            got = _prefix_esf(vals, n)[-1]
+            T, y = _prefix_esf(vals, n)
+            got = np.ldexp(T[-1], y)
             for k in range(n + 1):
                 expected = 0.0
                 for subset in itertools.combinations(range(n), k):
@@ -201,63 +216,78 @@ class TestPrefixESF:
                 assert got[k] == expected, (vals, k)
 
     def test_bitwise_equal_to_row_recursion(self):
-        # One row per prefix, updated in place: the table's defining loop.
-        def rows(u, K):
-            T = np.zeros((u.shape[0] + 1, K + 1))
-            row = np.zeros(K + 1)
-            row[0] = 1.0
-            T[0] = row
-            for i in range(u.shape[0]):
-                row[1:] += u[i] * row[:-1]
-                T[i + 1] = row
-            return T
-
+        # Powers of two scale exactly, so the scaled table times 2^y is the
+        # unscaled recursion bit for bit while both stay normal.
         rng = np.random.default_rng(131)
         for M, K in [(0, 0), (3, 3), (54, 20), (54, 54), (2000, 20)]:
-            for u in (rng.uniform(0.0, 3.0, M), rng.normal(0.0, 1.0, M)):
-                got = _prefix_esf(np.stack([u, u[::-1]]), K)
-                for g, v in zip(got, (u, u[::-1])):
-                    assert g.tobytes() == rows(v, K).tobytes(), (M, K)
+            for u in (rng.uniform(0.0, 3.0, M), rng.normal(0.0, 1.0, M), 10.0 ** rng.uniform(-9.0, 9.0, M)):
+                T, y = _prefix_esf(np.stack([u, u[::-1]]), K)
+                for g, v in zip(T, (u, u[::-1])):
+                    assert np.ldexp(g, y).tobytes() == esf_rows(v, K).tobytes(), (M, K)
+
+    @pytest.mark.parametrize("s", [-996, -27, 27, 600])
+    def test_power_of_two_strengths_shift_only_the_exponents(self, s):
+        # e_K of 3,000 strengths of 0.5..1 is about C(3000, K) 2^-K, far past
+        # float64 from K = 200 on; times 2^s, e_k gains exactly 2^(s k), so
+        # the scaled degrees keep their bits and only y moves by s k.
+        u = np.random.default_rng(139).uniform(0.5, 1.0, 3000)
+        T, y = _prefix_esf(np.stack([u, u[::-1]]), 500)
+        Ts, ys = _prefix_esf(np.stack([np.ldexp(u, s), np.ldexp(u[::-1], s)]), 500)
+        top = Ts[:, -1].max(axis=0)
+        assert np.all((top >= 2.0**-200) & (top <= 2.0**201))
+        assert np.ldexp(Ts, ys - y - s * np.arange(501)).tobytes() == T.tobytes()
 
 
 def loo_bruteforce(u, K, c):
     """sum_k c_k e_k(u without u_i), each from its own prefix table."""
-    return np.array([_prefix_esf(np.delete(u, i), K)[-1] @ c for i in range(u.shape[0])])
+    return np.array([esf_rows(np.delete(u, i), K)[-1] @ c for i in range(u.shape[0])])
 
 
 @st.composite
 def esf_inputs(draw):
-    # Entries of 1e-4..1e3 and c of 0 or 1e-3..1 keep every product of up to
-    # 60 factors clear of subnormals, where the brute force and the
+    # Entries of 1e-4..1e3, lam_c and s_w of 0.7..1.5, and counts uniform
+    # on 0..K keep every term of up to 60 factors in the float brute force
+    # clear of subnormals and of overflow, where the brute force and the
     # contraction would round away different bits.
     M = draw(st.integers(0, 60))
     K = draw(st.integers(0, M))
     u = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 3.0), min_size=M, max_size=M)))
-    coef = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
-    c = np.array(draw(st.lists(coef, min_size=K + 1, max_size=K + 1)))
-    return u, K, c
+    lam_c, s_w = draw(st.floats(0.7, 1.5)), draw(st.floats(0.7, 1.5))
+    return u, K, lam_c, s_w, draw(st.sampled_from([0.0, 0.3]))
+
+
+def detection_factors_bruteforce(u, K, lam_c, s_w, qd):
+    """count_update's g by its definition, for counts uniform on 0..K:
+    g_i = sum_k W_{k+1} beta_{k+1} e_k(u without u_i) / sum_k W_k beta_k e_k(u),
+    W_j = lam_c^(M-j) j! / s_w^j and beta_j = sum_n C(n, j) qd^(n-j) rho(n)."""
+    M = u.shape[0]
+    W = np.array([lam_c ** (M - j) * math.factorial(j) / s_w**j for j in range(K + 2)])
+    beta = _binomial_table(K, qd) @ np.full(K + 1, 1.0 / (K + 1))
+    return loo_bruteforce(u, K, W[1:] * beta[1:]) / (esf_rows(u, K)[-1] @ (W[:-1] * beta[:-1]))
 
 
 class TestLeaveOneOutESF:
-    """The contraction equals brute-force leave-one-out ESF dotted with c."""
+    """count_update's leave-one-out contraction equals brute-force
+    leave-one-out ESF, each from its own table, contracted by definition."""
 
     @pytest.mark.parametrize("M", [0, 1, 2, 7, 54])
     def test_matches_bruteforce(self, M):
         rng = np.random.default_rng(137 + M)
-        u = 10.0 ** rng.uniform(-12.0, 3.0, M)  # entries over 15 decades
+        u = 10.0 ** rng.uniform(-4.0, 3.0, M)
         for K in sorted({0, min(M, 20), M}):
-            c = rng.uniform(0.0, 1.0, K + 1)
-            full, got = _esf_leave_one_out(u, K, c)
-            assert full.tobytes() == _prefix_esf(u, K)[-1].tobytes()
-            assert got.shape == (M,)
-            np.testing.assert_allclose(got, loo_bruteforce(u, K, c), rtol=1e-12, atol=0.0)
+            for qd in (0.0, 0.3):
+                rho = CardinalityDistribution(np.ones(K + 1), normalize=True)
+                g = count_update(rho, u, 1.2, 0.9, qd)[2]
+                assert g.shape == (M,)
+                np.testing.assert_allclose(g, detection_factors_bruteforce(u, K, 1.2, 0.9, qd), rtol=1e-12, atol=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(esf_inputs())
     def test_matches_bruteforce_property(self, args):
-        u, K, c = args
-        _, got = _esf_leave_one_out(u, K, c)
-        np.testing.assert_allclose(got, loo_bruteforce(u, K, c), rtol=1e-12, atol=0.0)
+        u, K, lam_c, s_w, qd = args
+        rho = CardinalityDistribution(np.ones(K + 1), normalize=True)
+        got = count_update(rho, u, lam_c, s_w, qd)[2]
+        np.testing.assert_allclose(got, detection_factors_bruteforce(u, K, lam_c, s_w, qd), rtol=1e-12, atol=0.0)
 
 
 class TestUpdate:
@@ -377,15 +407,18 @@ class TestUpdate:
         with pytest.raises(NumericalError, match="zero likelihood under the predicted counts"):
             update(state, np.empty((0, 2)), sensor, reduction=None)
 
-    def test_esf_overflow_names_its_limit(self):
-        # 3,000 measurements on one component's mean, all of strength 1: e_K
-        # is C(3000, K), past float64 from K = 192 on. 600 of them stay finite.
+    def test_thousands_of_measurements_near_full_strength(self):
+        # 3,000 measurements on one component's mean, all of one strength:
+        # e_K is about C(3000, K) times its K-th power, past float64 from
+        # K = 192 on, so the update once refused this scan as an ESF overflow.
         mix = GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None])
-        state = FilterState(mix, CardinalityDistribution(np.ones(501), normalize=True))
+        state = FilterState(mix, CardinalityDistribution(np.ones(201), normalize=True))
         sensor = SensorModel.position_sensor(10.0, 0.95, 10.0, FOV)
-        update(state, np.zeros((600, 2)), sensor)
-        with pytest.raises(NumericalError, match=r"ESF of 3000 association strengths overflow float64 \(degree <= 500\)"):
-            update(state, np.zeros((3000, 2)), sensor)
+        z = np.zeros((3000, 2))
+        post = update(state, z, sensor, reduction=None)
+        probs, w_miss = referee_count_update(state, z, sensor)
+        assert_matches_referee(post.cardinality.probs, probs)
+        np.testing.assert_allclose(post.intensity.w[:1], w_miss, rtol=1e-13, atol=0)
 
     def test_reduction_losses_trip_consistency_warning(self, caplog):
         state = two_target_state()
@@ -445,6 +478,31 @@ class TestCountUpdateRange:
         assert_matches_referee(post.cardinality.probs, probs)
         np.testing.assert_allclose(post.intensity.w[0], w_miss[0], rtol=1e-13, atol=0)
         assert np.all(np.isfinite(post.intensity.w))
+
+
+def measurements_on_one_mean(M):
+    """One component with M measurements on its mean and a Poisson(1) count
+    prior on 0..500, whose last nonzero entry is 1e-323 at n = 177."""
+    mix = GaussianMixture(np.array([1.0]), np.zeros((1, 4)), np.diag([100.0, 100.0, 25.0, 25.0])[None])
+    state = FilterState(mix, CardinalityDistribution.poisson(1.0, 500))
+    return state, np.zeros((M, 2)), SensorModel.position_sensor(10.0, 0.95, 10.0, FOV)
+
+
+class TestPriorTail:
+    """Scans that favour counts far out in the prior's tail."""
+
+    @pytest.mark.parametrize("M", [40, 100, 150])
+    def test_matches_referee(self, M):
+        # The posterior peaks at n = M, where the prior is 1e-49..1e-263.
+        assert_update_matches_referee(*measurements_on_one_mean(M))
+
+    @pytest.mark.parametrize("M", [170, 600])
+    def test_subnormal_prior_mass_names_its_limit(self, M):
+        # The referee's posterior rests on counts 170..177, whose prior mass
+        # is subnormal (below 2.2e-308): refused by name, not as a zero
+        # likelihood, and without an overflow warning.
+        with pytest.raises(NumericalError, match="likelihood rests on prior count mass below float64's normal range"):
+            update(*measurements_on_one_mean(M), reduction=None)
 
 
 def two_component_scene(k, rng):
@@ -643,8 +701,7 @@ def referee_count_update(state, z, sensor):
                 quad = mpmath.fsum(d[a] * Sinv[a][b] * d[b] for a in range(k) for b in range(k))
                 g += wj * mpmath.exp(-quad / 2) / nrm
             x = p_d * V * g
-            for deg in range(K, 0, -1):
-                e[deg] += x * e[deg - 1]
+            e = e[:1] + [a + x * b for a, b in zip(e[1:], e[:-1])]  # e_k += x e_(k-1), old e
         c = [lam ** (M - j) * e[j] / s_w**j for j in range(K + 1)]
         qd_pow = [qd**i for i in range(N + 1)]
         ups0 = [mpmath.fsum(c[j] * math.perm(n, j) * qd_pow[n - j] for j in range(min(n, K) + 1))
@@ -723,7 +780,7 @@ class TestCountReferee:
 
 
 def referee_count_outputs(rho, assoc, lam_c, s_w, qd):
-    """`count_update`'s counts, miss ratio and detection factors s g_i at 50
+    """`count_update`'s counts, miss ratio and detection factors g_i at 50
     digits, from its inputs alone:
     with e_j the ESF of the strengths and den = sum_n rho(n) ups0(n),
     ups0(n) = sum_j lam^(M-j) n!/(n-j)! qd^(n-j) e_j / s_w^j,
@@ -741,8 +798,7 @@ def referee_count_outputs(rho, assoc, lam_c, s_w, qd):
         def esf(vals):
             e = [mpf(1)] + [mpf(0)] * K
             for v in vals:
-                for deg in range(K, 0, -1):
-                    e[deg] += v * e[deg - 1]
+                e = e[:1] + [a + v * b for a, b in zip(e[1:], e[:-1])]  # e_k += v e_(k-1), old e
             return e
 
         qd_pow = [qd**i for i in range(N + 1)]
@@ -755,11 +811,13 @@ def referee_count_outputs(rho, assoc, lam_c, s_w, qd):
                 for n in range(N + 1)]
         den = mpmath.fsum(r * u for r, u in zip(rho_mp, ups0))
         r_miss = mpmath.fsum(c[j] * P1[j] for j in range(K + 1)) / (s_w * den)
-        g = []
+        loo = {}  # equal strengths share their leave-one-out ESF
         for i in range(M):
-            e_i = esf(a[:i] + a[i + 1 :])
-            g.append(mpmath.fsum(lam ** (M - 1 - j) * e_i[j] * P1[j] / s_w ** (j + 1)
-                                 for j in range(min(K, M - 1) + 1)) / den)
+            if assoc[i] not in loo:
+                e_i = esf(a[:i] + a[i + 1 :])
+                loo[assoc[i]] = mpmath.fsum(lam ** (M - 1 - j) * e_i[j] * P1[j] / s_w ** (j + 1)
+                                            for j in range(min(K, M - 1) + 1)) / den
+        g = [loo[v] for v in assoc]
         probs = np.array([float(r * u / den) for r, u in zip(rho_mp, ups0)])
         return probs, float(r_miss), np.array([float(v) for v in g])
 
@@ -777,11 +835,34 @@ class TestCountUpdateReferee:
             assoc = 10.0 ** rng.uniform(-3.0, 2.0, M)
             s_w = 10.0 ** rng.uniform(-2.0, 2.0)
             ref = referee_count_outputs(rho.probs, assoc, lam_c, s_w, qd)
-            got, r_miss, s, g = count_update(rho, assoc, lam_c, s_w, qd)
+            got, r_miss, g = count_update(rho, assoc, lam_c, s_w, qd)
             assert_matches_referee(got.probs, ref[0])
             assert_matches_referee(np.array([r_miss]), np.array([ref[1]]))
             assert g.shape == (M,)
-            assert_matches_referee(s * g, ref[2])
+            assert_matches_referee(g, ref[2])
+
+    @pytest.mark.parametrize(
+        "n_max, M, rate",
+        [
+            (100, 55, 8.0),
+            (100, 55, 100.0),
+            (500, 120, 8.0),
+            (500, 120, 100.0),
+        ],
+    )
+    def test_intensity_mass_far_below_the_count_mean(self, n_max, M, rate):
+        # Strengths scale with the intensity mass s_w; the count prior does
+        # not. At ratios s_w / mean of 1e-4 and below every g was once 0.
+        rng = np.random.default_rng(0)
+        rho = CardinalityDistribution.poisson(rate, n_max)
+        base = rng.choice(10.0 ** rng.uniform(-3.0, 3.0, 4), M)  # few distinct strengths: a cheap referee
+        for ratio in [1.0, 1e-2, 1e-4, 1e-6, 1e-8]:
+            s_w = ratio * rho.mean
+            ref = referee_count_outputs(rho.probs, ratio * base, M / 2.0, s_w, 0.05)
+            got, r_miss, g = count_update(rho, ratio * base, M / 2.0, s_w, 0.05)
+            assert_matches_referee(g, ref[2])
+            assert_matches_referee(np.array([r_miss]), np.array([ref[1]]))
+            assert_matches_referee(got.probs, ref[0])
 
 
 def reference_update(
@@ -868,7 +949,13 @@ def reference_update(
         * qd1
         * invw_pow[jj + 1]
     )
-    e_full, loo_c = _esf_leave_one_out(u, K_deg, Cm @ rho)
+    # Leave-one-out contraction: prefix table times the Hankel matrix of
+    # Cm @ rho, dotted row-wise with the suffix table.
+    PR, SF = esf_rows(u, K_deg), esf_rows(u[::-1], K_deg)[::-1]
+    t = np.arange(K_deg + 1)
+    deg = t[:, None] + t[None, :]
+    Hc = np.where(deg <= K_deg, (Cm @ rho)[np.minimum(deg, K_deg)], 0.0)
+    e_full, loo_c = PR[M], ((PR[:M] @ Hc) * SF[1:]).sum(axis=1)
     ups0 = e_full @ C0  # (N+1,)
     ups1 = e_full @ C1
 
@@ -931,6 +1018,17 @@ def update_scene(J, M, k, p_d, clutter_rate, seed, n_max=20):
     return state, rng.permutation(np.concatenate([near, far])), sensor
 
 
+def assert_same_weights(got, ref, gain=1.0):
+    """Weights within 1e-13 of each other. Below float64's smallest normal
+    times `gain` they are compared absolutely, at 16 subnormal steps times
+    `gain`: a product that is subnormal keeps fewer bits, set by the order
+    in which its factors are multiplied, and later factors of up to `gain`
+    carry its error along."""
+    tiny = ref < np.finfo(float).tiny * gain
+    np.testing.assert_allclose(got[~tiny], ref[~tiny], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got[tiny], ref[tiny], rtol=0, atol=16 * 2.0**-1074 * gain)
+
+
 def assert_same_update(state, scan, sensor, reduction, refereed=False):
     # The count tables are rows of the binomial table times per-degree powers
     # of two where the reference forms n!/(n-j)!, so outputs agree to
@@ -945,14 +1043,14 @@ def assert_same_update(state, scan, sensor, reduction, refereed=False):
     got = update(state, scan, sensor, reduction=reduction)
     ref = reference_update(state, scan, sensor, reduction=reduction)
     assert len(got.intensity) == len(ref.intensity)
-    np.testing.assert_allclose(got.intensity.w, ref.intensity.w, rtol=1e-13, atol=0)
+    assert_same_weights(got.intensity.w, ref.intensity.w)
     if refereed:
         probs, _ = referee_count_update(state, scan, sensor)
         assert_matches_referee(got.cardinality.probs, probs)
         with pytest.raises(AssertionError):
             assert_matches_referee(ref.cardinality.probs, probs)
     else:
-        np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
+        assert_same_weights(got.cardinality.probs, ref.cardinality.probs)
     w = ref.intensity.w
     run = np.cumsum(~np.isclose(w, np.r_[w[:1], w[:-1]], rtol=1e-13, atol=0))
     g, r = (np.lexsort((*mix.m.T[::-1], run)) for mix in (got.intensity, ref.intensity))
@@ -998,6 +1096,26 @@ class TestUpdateBitIdentity:
     def test_clutter_free_matches_reference(self, reduction, k, J):
         state, scan, sensor = update_scene(J, min(J, 8), k, 1.0, 0.0, seed=J + k)
         assert_same_update(state, scan, sensor, reduction)
+
+
+class TestUpdateScaleInvariance:
+    """The count pmf and the posterior intensity are homogeneous of degree 0
+    in the predicted intensity's weights (Vo, Vo & Cantoni, 2007)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-8.0, 8.0), st.integers(0, 2**32 - 1))
+    def test_weight_scale_leaves_the_exact_update(self, log_c, seed):
+        state, z, sensor = update_scene(30, 70, 2, 0.95, 70.0, seed, n_max=60)
+        mix, c = state.intensity, 10.0**log_c
+        scaled = FilterState(GaussianMixture(c * mix.w, mix.m, mix.P), state.cardinality)
+        ref = update(state, z, sensor, reduction=None)
+        got = update(scaled, z, sensor, reduction=None)
+        assert_same_weights(got.cardinality.probs, ref.cardinality.probs)
+        # A detection weight is (w_j q_ji) p_d V g_i, formed left to right,
+        # with g_i <= 1 here: where w_j q_ji or c w_j q_ji is subnormal its
+        # rounding depends on the scale.
+        gain = sensor.p_d * sensor.fov.area / min(c, 1.0)
+        assert_same_weights(got.intensity.w, ref.intensity.w, gain=gain)
 
 
 class TestUpdatePairBlocks:

@@ -198,7 +198,7 @@ class TestBranchingOracle:
             ZeroInflatedPoissonSpawn(0.4, 1.5, kernel),
         ]:
             emp = mc_branching_oracle(rho1, model, 0.9, 200_000, rng)
-            ref = bell_coefficients(model, 0.9, 10).offspring_pmf()
+            ref = bell_coefficients(model, 0.9, 10).pmf
             tv = 0.5 * np.abs(emp.probs - ref / ref.sum()).sum()
             assert tv < 0.01
 

@@ -16,7 +16,6 @@ from spawncphd.spawning import (
     SpawnSpatialModel,
     ZeroInflatedPoissonSpawn,
     bell_coefficients,
-    spawn_alpha,
     spawn_intensity,
     unit_spawn_kernel,
 )
@@ -55,7 +54,7 @@ class TestBellCoefficients:
         # p_s = 0 leaves only the brood: b_i/i! must be the Poisson pmf.
         b = bell_coefficients(PoissonSpawn(0.7, KERNEL), 0.0, 20)
         np.testing.assert_allclose(
-            b.offspring_pmf(), stats.poisson.pmf(np.arange(21), 0.7), rtol=1e-12
+            b.pmf, stats.poisson.pmf(np.arange(21), 0.7), rtol=1e-12
         )
 
     # n_max 1 cuts Bernoulli's b[2]; n_max 0 leaves only b[0].
@@ -81,7 +80,7 @@ class TestBellCoefficients:
         b = bell_coefficients(model, p_s, n_max)
         ref = successor_pmf(model, p_s, n_max)
         assert b.n_max == n_max
-        np.testing.assert_allclose(b.offspring_pmf(), ref, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(b.pmf, ref, rtol=1e-12, atol=1e-300)
 
     def test_pmf_sums_to_one_minus_tail(self):
         for model in [
@@ -90,7 +89,7 @@ class TestBellCoefficients:
             ZeroInflatedPoissonSpawn(0.01, 2.5, KERNEL),
         ]:
             b = bell_coefficients(model, 0.99, 20)
-            total = float(b.offspring_pmf().sum())
+            total = float(b.pmf.sum())
             assert total + b.tail_mass == pytest.approx(1.0, abs=1e-12)
             assert b.tail_mass < 1e-10  # these parameters barely truncate
 
@@ -113,8 +112,8 @@ class TestBellCoefficients:
             (PoissonSpawn(0.025, KERNEL), 0.025),
             (ZeroInflatedPoissonSpawn(0.01, 2.5, KERNEL), 0.025),
         ]:
-            assert spawn_alpha(model) == pytest.approx(alpha, rel=1e-15)
-            pmf = bell_coefficients(model, 0.99, 20).offspring_pmf()
+            assert model.alpha == pytest.approx(alpha, rel=1e-15)
+            pmf = bell_coefficients(model, 0.99, 20).pmf
             assert np.arange(21) @ pmf == pytest.approx(0.99 + alpha, rel=1e-10)
 
 
@@ -206,7 +205,7 @@ class TestSpawnIntensity:
             out = spawn_intensity(post, model)
             np.testing.assert_allclose(
                 out.total_weight,
-                spawn_alpha(model) * post.total_weight,
+                model.alpha * post.total_weight,
                 rtol=1e-13,
             )
 
