@@ -19,10 +19,9 @@ TSP 55(7), 2007): elementary symmetric functions (ESF) e_j of the association
 strengths contract with the prior through that table, beta[j] = sum_n C(n, j)
 (1 - p_d)^(n-j) rho(n), and with degree weights W_j = u_c^(M-j) j! / s_w^j (u_c
 the clutter count, s_w the intensity mass). All three are mantissas times
-powers of two, the ESF with one power per degree, and one shift 2^-c from the
+powers of two, the ESF with one power per degree; one shift 2^-c from the
 largest term e_j W_j beta_j scales the counts, the miss ratio and each
-detection's leave-one-out contraction (prefix and suffix ESF tables, no
-deflation). Only a likelihood resting on subnormal prior mass is refused.
+detection's leave-one-out contraction (prefix and suffix tables, no deflation).
 """
 
 from __future__ import annotations
@@ -310,16 +309,14 @@ def _degree_weights(K: int, M: int, u_c: float, s_w: float) -> tuple[np.ndarray,
 
 def _prefix_esf(u: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Elementary symmetric functions of prefixes, for each sequence in u,
-    with one power of two per degree.
+    with one power of two per degree: entry [..., i, k] of the returned
+    (..., M + 1, K + 1) table is e_k(u[..., :i]) 2^-y[k], u of shape (..., M).
 
-    Returns (table, y): entry [..., i, k] of the (..., M + 1, K + 1) table is
-    e_k(u[..., :i]) 2^-y[k] for u of shape (..., M). Built one degree at a
-    time: e_k(u[:i+1]) = e_k(u[:i]) + u[i] e_{k-1}(u[:i]) is a running sum
-    over i, one left-to-right accumulate that rounds as the recursion does.
-    For u >= 0, u is first scaled by a power of two to its largest entry
-    near 1, and a degree whose largest last entry, its column's largest,
-    leaves [2^-200, 2^200] is scaled back near 1: no degree overflows while
-    the next is formed from it.
+    Degree by degree, e_k(u[:i+1]) = e_k(u[:i]) + u[i] e_{k-1}(u[:i]) is one
+    left-to-right accumulate that rounds as the recursion does. For u >= 0,
+    u is scaled to its largest entry near 1, and a degree whose largest last
+    entry (its column's largest) leaves [2^-200, 2^200] is scaled back near
+    1, so none overflows while the next is formed. A zero degree ends it.
     """
     t = math.frexp(float(u.max(initial=0.0)))[1]
     u = np.ldexp(u, -t)
@@ -331,6 +328,8 @@ def _prefix_esf(u: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(u, T[k - 1, ..., :-1], out=T[k, ..., 1:])
         np.add.accumulate(T[k], axis=-1, out=T[k])
         top = max(last[k].tolist())
+        if top == 0.0 and not T[k].any():
+            break  # so is every later one
         if not 2.0**-200 <= top <= 2.0**200:
             e = max(math.frexp(top)[1], -1000)  # a subnormal top is scaled to 2^-74 or more
             T[k] *= 2.0**-e
@@ -346,8 +345,9 @@ def count_update(
     intensity mass, `qd` = 1 - p_d. Returns the posterior counts, the miss
     ratio r_miss (a missed component weighs r_miss qd w_j) and g (M,):
     detection i's weights are w_j N(z_i; H m_j, S_j) p_d V g_i. Raises
-    `NumericalError` if the scan has zero likelihood, or if its likelihood
-    rests on prior count mass below float64's normal range."""
+    `NumericalError` for a zero likelihood, a likelihood resting on prior
+    count mass below float64's normal range, or strengths spanning so many
+    decades that the leave-one-out contraction overflows."""
     M, N = assoc.shape[0], rho.n_max
     K = min(M, N)
     s_w = s_w if s_w > 0.0 else 1.0  # massless: every u_i = 0, only degree 0 (free of s_w) counts
@@ -362,29 +362,29 @@ def count_update(
     t = ew * mb[:-1]
     te = np.frexp(t)[1] + xw + eb[:-1]
     c = te.max(where=t > 0.0, initial=te.min())  # every term may lie far below 1
-    # H[a, b] = W_{a+b+1} beta_{a+b+1} 2^(y_a + y_b - c), zero past degree
-    # min(K, M - 1): e_k(assoc without assoc_i) = sum_a e_a(prefix) e_{k-a}(suffix),
-    # so the leave-one-out contraction is one GEMM of the prefix table with
-    # H, then a row-wise product with the suffix table; no polynomial is
-    # deflated, and for nonnegative strengths every term is nonnegative.
-    # Entries are capped at 2^600 (strengths spanning hundreds of decades),
-    # so neither product overflows: table entries are at most 2^201. Those
-    # below 2^-1000 add less than 2^-598 and are dropped.
-    j = np.arange(K + 2)
-    deg = np.minimum(np.add.outer(j[:-1], j[:-1]), K + 1)  # a + b, K + 1 past degree K
-    hm = np.where(j < min(K + 1, M), np.append(mant[1:] * mb[1:], 0.0), 0.0)
-    he = np.append(x[1:] + eb[1:], 0)[deg] + np.add.outer(y, y - c)
-    H = np.where(he >= -1000, hm[deg] * np.exp2(np.clip(he, -1000, 600)), 0.0)
+    # e_k(assoc without assoc_i) = sum_a e_a(prefix) e_{k-a}(suffix), so the
+    # leave-one-out contraction is one GEMM of the prefix table with
+    # H[a, b] = h[a + b] 2^(y_a + y_b), h[k] = W_{k+1} beta_{k+1} 2^-c, then a
+    # row-wise product with the suffix table. h is zero past degree
+    # min(K, M - 1, Z), Z the nonzero strengths, as every such ESF is. No
+    # polynomial is deflated, and every term is nonnegative.
+    L = min(K + 1, M, np.count_nonzero(assoc) + 1)
+    hm, hx = np.zeros(2 * K + 1), np.zeros(2 * K + 1, dtype=np.int64)
+    hm[:L], hx[:L] = mant[1 : L + 1] * mb[1 : L + 1], x[1 : L + 1] + eb[1 : L + 1] - c
+    deg = np.add.outer(np.arange(K + 1), np.arange(K + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        H = np.ldexp(hm[deg], hx[deg] + np.add.outer(y, y))
         a = np.where(mb[:-1] > 0.0, np.ldexp(ew, xw - c), 0.0)  # no prior mass at or above j: no term
         ups0 = a @ B[: K + 1]
         den = float(ups0 @ rho.probs)
+        loo = ((PR[:M] @ H) * SF[::-1][1:]).sum(axis=1)
     if not math.isfinite(den):
         raise NumericalError(
             "the scan's likelihood rests on prior count mass below float64's normal range"
         )
     if not den > 0.0:
         raise NumericalError("the scan has zero likelihood under the predicted counts")
+    if not np.isfinite(loo).all():
+        raise NumericalError(f"{M} association strengths span too many decades for float64")
     r_miss = float(a @ (np.arange(1, K + 2) * beta[1:])) / (s_w * den)
-    g = ((PR[:M] @ H) * SF[::-1][1:]).sum(axis=1) / den
-    return CardinalityDistribution(ups0 * rho.probs, normalize=True), r_miss, g
+    return CardinalityDistribution(ups0 * rho.probs, normalize=True), r_miss, loo / den

@@ -220,7 +220,8 @@ class TestPrefixESF:
         # unscaled recursion bit for bit while both stay normal.
         rng = np.random.default_rng(131)
         for M, K in [(0, 0), (3, 3), (54, 20), (54, 54), (2000, 20)]:
-            for u in (rng.uniform(0.0, 3.0, M), rng.normal(0.0, 1.0, M), 10.0 ** rng.uniform(-9.0, 9.0, M)):
+            half_zero = np.where(rng.uniform(size=M) < 0.5, 0.0, rng.uniform(0.0, 3.0, M))
+            for u in (rng.uniform(0.0, 3.0, M), rng.normal(0.0, 1.0, M), 10.0 ** rng.uniform(-9.0, 9.0, M), half_zero):
                 T, y = _prefix_esf(np.stack([u, u[::-1]]), K)
                 for g, v in zip(T, (u, u[::-1])):
                     assert np.ldexp(g, y).tobytes() == esf_rows(v, K).tobytes(), (M, K)
@@ -245,24 +246,30 @@ def loo_bruteforce(u, K, c):
 
 @st.composite
 def esf_inputs(draw):
-    # Entries of 1e-4..1e3, lam_c and s_w of 0.7..1.5, and counts uniform
-    # on 0..K keep every term of up to 60 factors in the float brute force
-    # clear of subnormals and of overflow, where the brute force and the
-    # contraction would round away different bits.
+    # Entries of 1e-4..1e3, lam_c and s_w of 0.7..1.5, and count priors with
+    # entries 0 or 1e-3..1 keep every term of up to 60 factors in the float
+    # brute force clear of subnormals and of overflow, where the brute force
+    # and the contraction would round away different bits. With qd = 0 the
+    # contraction's coefficients W_{k+1} beta_{k+1} are W_{k+1} rho(k + 1),
+    # zero wherever the prior is.
     M = draw(st.integers(0, 60))
     K = draw(st.integers(0, M))
     u = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 3.0), min_size=M, max_size=M)))
+    coef = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    probs = np.array(draw(st.lists(coef, min_size=K + 1, max_size=K + 1)))
+    probs[0] += probs.sum() == 0.0  # some prior mass
     lam_c, s_w = draw(st.floats(0.7, 1.5)), draw(st.floats(0.7, 1.5))
-    return u, K, lam_c, s_w, draw(st.sampled_from([0.0, 0.3]))
+    return u, CardinalityDistribution(probs, normalize=True), lam_c, s_w, draw(st.sampled_from([0.0, 0.3]))
 
 
-def detection_factors_bruteforce(u, K, lam_c, s_w, qd):
-    """count_update's g by its definition, for counts uniform on 0..K:
+def detection_factors_bruteforce(u, rho, lam_c, s_w, qd):
+    """count_update's g by its definition:
     g_i = sum_k W_{k+1} beta_{k+1} e_k(u without u_i) / sum_k W_k beta_k e_k(u),
-    W_j = lam_c^(M-j) j! / s_w^j and beta_j = sum_n C(n, j) qd^(n-j) rho(n)."""
-    M = u.shape[0]
+    W_j = lam_c^(M-j) j! / s_w^j and beta_j = sum_n C(n, j) qd^(n-j) rho(n),
+    for K = min(M, n_max)."""
+    M, K = u.shape[0], min(u.shape[0], rho.n_max)
     W = np.array([lam_c ** (M - j) * math.factorial(j) / s_w**j for j in range(K + 2)])
-    beta = _binomial_table(K, qd) @ np.full(K + 1, 1.0 / (K + 1))
+    beta = _binomial_table(rho.n_max, qd)[: K + 2] @ rho.probs
     return loo_bruteforce(u, K, W[1:] * beta[1:]) / (esf_rows(u, K)[-1] @ (W[:-1] * beta[:-1]))
 
 
@@ -273,21 +280,20 @@ class TestLeaveOneOutESF:
     @pytest.mark.parametrize("M", [0, 1, 2, 7, 54])
     def test_matches_bruteforce(self, M):
         rng = np.random.default_rng(137 + M)
-        u = 10.0 ** rng.uniform(-4.0, 3.0, M)
+        u = 10.0 ** rng.uniform(-12.0, 3.0, M)  # entries over 15 decades
         for K in sorted({0, min(M, 20), M}):
             for qd in (0.0, 0.3):
-                rho = CardinalityDistribution(np.ones(K + 1), normalize=True)
+                rho = CardinalityDistribution(rng.uniform(0.0, 1.0, K + 1), normalize=True)
                 g = count_update(rho, u, 1.2, 0.9, qd)[2]
                 assert g.shape == (M,)
-                np.testing.assert_allclose(g, detection_factors_bruteforce(u, K, 1.2, 0.9, qd), rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(g, detection_factors_bruteforce(u, rho, 1.2, 0.9, qd), rtol=1e-12, atol=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(esf_inputs())
     def test_matches_bruteforce_property(self, args):
-        u, K, lam_c, s_w, qd = args
-        rho = CardinalityDistribution(np.ones(K + 1), normalize=True)
+        u, rho, lam_c, s_w, qd = args
         got = count_update(rho, u, lam_c, s_w, qd)[2]
-        np.testing.assert_allclose(got, detection_factors_bruteforce(u, K, lam_c, s_w, qd), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, detection_factors_bruteforce(u, rho, lam_c, s_w, qd), rtol=1e-12, atol=0.0)
 
 
 class TestUpdate:
@@ -864,6 +870,26 @@ class TestCountUpdateReferee:
             assert_matches_referee(np.array([r_miss]), np.array([ref[1]]))
             assert_matches_referee(got.probs, ref[0])
 
+    @pytest.mark.parametrize("assoc", [[1e-250], [1.0, 1e-250]])
+    def test_strengths_hundreds_of_decades_apart(self, assoc):
+        # Clutter-free with p_d = 1, so g_i = 1 / assoc_i: entries of the
+        # leave-one-out Hankel matrix reach 2^830. Capped at 2^600, they once
+        # gave g 1e70 times too small.
+        rho, assoc = CardinalityDistribution.poisson(2.0, 10), np.array(assoc)
+        ref = referee_count_outputs(rho.probs, assoc, 0.0, 1.0, 0.0)
+        got, r_miss, g = count_update(rho, assoc, 0.0, 1.0, 0.0)
+        assert_matches_referee(g, ref[2])
+        assert_matches_referee(np.array([r_miss]), np.array([ref[1]]))
+        assert_matches_referee(got.probs, ref[0])
+
+    @pytest.mark.parametrize("assoc", [[1.0, 1e-320], [0.5, 1e-200, 1e-120]])
+    def test_contraction_overflow_names_its_limit(self, assoc):
+        # g_i = 1 / assoc_i again: 1e320 is past float64, and 1e200 and
+        # 1e120 come from Hankel entries past it. Refused by name.
+        rho = CardinalityDistribution.poisson(2.0, 10)
+        with pytest.raises(NumericalError, match=f"{len(assoc)} association strengths span too many decades for float64"):
+            count_update(rho, np.array(assoc), 0.0, 1.0, 0.0)
+
 
 def reference_update(
     state: FilterState,
@@ -1038,19 +1064,19 @@ def assert_same_update(state, scan, sensor, reduction, refereed=False):
     # weight, so rows whose weights tie to that rtol come in an order set by
     # the last bits of the count arithmetic: within each run of tied weights
     # the rows are compared in the order of their means. Where the
-    # reference's terms u_c^(M-j) underflow (`refereed`), its count pmf is
-    # wrong: the referee judges both.
+    # reference's count pmf is wrong (`refereed`), the referee judges both
+    # at the same rtol, subnormal entries included.
     got = update(state, scan, sensor, reduction=reduction)
     ref = reference_update(state, scan, sensor, reduction=reduction)
     assert len(got.intensity) == len(ref.intensity)
     assert_same_weights(got.intensity.w, ref.intensity.w)
     if refereed:
         probs, _ = referee_count_update(state, scan, sensor)
-        assert_matches_referee(got.cardinality.probs, probs)
+        np.testing.assert_allclose(got.cardinality.probs, probs, rtol=1e-13, atol=0)
         with pytest.raises(AssertionError):
-            assert_matches_referee(ref.cardinality.probs, probs)
+            np.testing.assert_allclose(ref.cardinality.probs, probs, rtol=1e-13, atol=0)
     else:
-        assert_same_weights(got.cardinality.probs, ref.cardinality.probs)
+        np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
     w = ref.intensity.w
     run = np.cumsum(~np.isclose(w, np.r_[w[:1], w[:-1]], rtol=1e-13, atol=0))
     g, r = (np.lexsort((*mix.m.T[::-1], run)) for mix in (got.intensity, ref.intensity))
@@ -1079,8 +1105,10 @@ class TestUpdateBitIdentity:
         state, scan, sensor = update_scene(
             J, M, k, p_d, M + 50.0, seed=J * 1000 + M + k, n_max=n_max
         )
-        # In these scenes the reference's count terms underflow.
-        refereed = (p_d, n_max, M, k) == (1.0, 100, 400, 2)
+        # In these scenes the reference's count terms underflow (k = 2), or
+        # its pmf entry 1.6e-317 at n = 56 lands 15 subnormal steps off the
+        # referee's (k = 3, J = 40), where `update` rounds it exactly.
+        refereed = (p_d, n_max, M) == (1.0, 100, 400) and (k == 2 or J == 40)
         assert_same_update(state, scan, sensor, reduction, refereed)
 
     def test_interleaved_detection_probabilities_match_reference(self):
@@ -1110,7 +1138,7 @@ class TestUpdateScaleInvariance:
         scaled = FilterState(GaussianMixture(c * mix.w, mix.m, mix.P), state.cardinality)
         ref = update(state, z, sensor, reduction=None)
         got = update(scaled, z, sensor, reduction=None)
-        assert_same_weights(got.cardinality.probs, ref.cardinality.probs)
+        np.testing.assert_allclose(got.cardinality.probs, ref.cardinality.probs, rtol=1e-13, atol=0)
         # A detection weight is (w_j q_ji) p_d V g_i, formed left to right,
         # with g_i <= 1 here: where w_j q_ji or c w_j q_ji is subnormal its
         # rounding depends on the scale.
