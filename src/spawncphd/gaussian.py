@@ -176,8 +176,8 @@ def _batched_inverses(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # At most this many (pivot, free row) gate distances are formed at once. On
 # the 104 reductions of a `dense_clutter` cycle 2^16 forms 165M in 2,863
-# blocks where the sequential greedy needs 100M; 2^18 forms 261M, and 2^15
-# and 2^17 run slower.
+# blocks, 26 pivot-to-pivot gates a block; 2^15 forms 139M in 4,655 blocks
+# and runs as fast, 2^17 forms 205M in 1,910 blocks and runs 10% slower.
 _GATE_BLOCK = 1 << 16
 # Recheck band of a fast gate distance, relative to the absolute terms of its
 # expansion; their rounding stays below ~1e-14 of the same sum.
@@ -189,6 +189,7 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(d, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _row_features(m: np.ndarray, inv: np.ndarray, cid: np.ndarray) -> np.ndarray:
     """Candidate-side gate features of rows with means m and inverse
     covariances inv[cid]: [x'Ax, -(A + A')x, diag A, upper (A + A')], written
@@ -206,6 +207,7 @@ def _row_features(m: np.ndarray, inv: np.ndarray, cid: np.ndarray) -> np.ndarray
     return F
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pivot_features(m: np.ndarray) -> np.ndarray:
     """Pivot-side gate features [1, x, x*x, x_k x_l]: a row's distance to
     every pivot is the dot product of its candidate-side features with these."""
@@ -238,11 +240,11 @@ def _merge_pass(
     a sweep, are recomputed with the direct formula, so every gate decision
     is the direct one.
 
-    The greedy is emitted without a Python iteration per pivot. A pivot of a
-    block is live iff no earlier live pivot of the block gates it; array
-    rounds over the (block pivot, mergeable block pivot) gates settle at
-    least the earliest undecided pivot each. A free row goes to the first
-    live pivot that gates it, and a live pivot always keeps itself. Groups
+    A block's gated pairs form one pivot-major list. A pivot is live iff no
+    earlier live pivot of its block gates it: one Python loop walks the
+    list's pivot-to-pivot pairs (a, b), a < b, and kills b when a is live, a
+    being settled by the pairs into it, listed first. A free row goes to the
+    first live pivot that gates it; a live pivot always keeps itself. Groups
     are moment-matched after the last block, weights and covariance terms
     summed in ascending member order, as the sequential greedy sums them:
     weights through one `np.bincount`, the covariance terms through one 1-D
@@ -259,44 +261,41 @@ def _merge_pass(
 
     order = np.argsort(-w, kind="stable")
     rows = np.flatnonzero(mergeable)
-    band = _GATE_BAND * (1.0 + np.abs(rowF[rows]) @ colmax)
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = _GATE_BAND * (1.0 + np.abs(rowF[rows]) @ colmax)
     free = np.ones(J, dtype=bool)
     live = np.zeros(J, dtype=bool)
     owner = np.arange(J)  # the pivot whose group each component joins
+    slot = np.full(J, -1)  # a pivot's place in its block
     queue = order
     while queue.shape[0]:
         still = free[rows]
         rows, band = rows[still], band[still]
         n = max(1, _GATE_BLOCK // max(rows.shape[0], 1))
         piv, queue = queue[:n], queue[n:]
-        d2 = colF[piv] @ rowF[rows].T  # (pivots, free rows)
-        gate = d2 <= U - band
-        far = d2 > U + band  # NaN counts as near
-        if far.size - np.count_nonzero(far) > np.count_nonzero(gate):
-            c, r = np.nonzero(~(far | gate))
-            diff = m[rows[r]] - m[piv[c]]
-            Ad = np.matmul(diff[:, None, :], A[cid[rows[r]]])[:, 0, :]
-            gate[c, r] = (Ad * diff).sum(axis=1) <= U
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = colF[piv] @ rowF[rows].T  # (pivots, free rows)
+            c, r = np.divmod(np.flatnonzero(~(d2 > U + band)), d2.shape[1])  # NaN counts as near
+        sure = d2[c, r] <= U - band[r]
+        near = np.flatnonzero(~sure)
+        if near.shape[0]:
+            diff = m[rows[r[near]]] - m[piv[c[near]]]
+            Ad = np.matmul(diff[:, None, :], A[cid[rows[r[near]]]])[:, 0, :]
+            sure[near] = (Ad * diff).sum(axis=1) <= U
+        c, r = c[sure], r[sure]  # the gated pairs, pivot-major
 
-        cols = np.flatnonzero(mergeable[piv])  # block pivots that are free rows
-        G = gate[:, np.searchsorted(rows, piv[cols])] & (np.arange(piv.shape[0])[:, None] < cols)
-        todo = np.flatnonzero(G.any(axis=0))
-        alive = np.ones(piv.shape[0], dtype=bool)
-        pending = np.zeros(piv.shape[0], dtype=bool)
-        pending[cols[todo]] = True
-        while todo.shape[0]:
-            g = G[:, todo]
-            dead = (g & alive[:, None] & ~pending[:, None]).any(axis=0)
-            settled = dead | ~(g & pending[:, None]).any(axis=0)
-            pending[cols[todo[settled]]] = False
-            alive[cols[todo[dead]]] = False
-            todo = todo[~settled]
-
+        slot[piv] = np.arange(piv.shape[0])
+        s = slot[rows[r]]
+        alive = [True] * piv.shape[0]
+        ab = c < s  # pivot-to-pivot gates, a before b
+        for a, b in zip(c[ab].tolist(), s[ab].tolist()):
+            if alive[a]:
+                alive[b] = False
+        alive = np.array(alive)
+        c, r = c[alive[c]], r[alive[c]]
+        taken, first = np.unique(rows[r], return_index=True)
         lp = piv[alive]
-        gl = gate[alive]
-        hit = np.flatnonzero(gl.any(axis=0))
-        taken = rows[hit]
-        owner[taken] = lp[gl[:, hit].argmax(axis=0)]
+        owner[taken] = piv[c[first]]
         owner[lp] = lp
         live[lp] = True
         free[taken] = False

@@ -126,6 +126,21 @@ def test_random_clusters_match_reference(J):
     assert_same_reduce(mix, ReductionConfig(1e-5, 4.0, 100))
 
 
+@pytest.mark.parametrize("J", [181, 256])
+def test_single_tight_cluster_matches_reference(J):
+    # Every pair gates, so one gate block holds all J pivots and their
+    # J (J - 1) / 2 pivot-to-pivot gates, the densest liveness list a block
+    # can hold: 16,290 pairs at 181 rows, 32,640 at 256.
+    rng = np.random.default_rng(2000 + J)
+    mix = clustered(rng, J, 1, spread=0.05, pos_std=10.0, vel_std=3.0)
+    inv, _ = _batched_inverses(mix.P)
+    diff = mix.m[:, None, :] - mix.m[None, :, :]
+    assert ((np.matmul(diff, inv) * diff).sum(axis=2) <= 4.0).all()
+    assert J * J <= _GATE_BLOCK
+    assert_same_pass(mix.w, mix.m, mix.P, 4.0)
+    assert_same_reduce(mix, ReductionConfig(1e-5, 4.0, 100))
+
+
 def test_singular_covariances_match_reference():
     rng = np.random.default_rng(7)
     mix = clustered(rng, 900, 30, spread=1.0, pos_std=10.0, vel_std=3.0)
@@ -203,7 +218,8 @@ def test_chain_of_single_gates_matches_reference():
     # component's covariance is wide (1) towards its predecessor and narrow
     # (1/16) towards its successor, so in pivot order every pivot gates only
     # its successor (d2 = 1) and no other component (d2 >= 16). Liveness then
-    # alternates along the chain and takes one array round per link.
+    # alternates along the chain: a 300-link liveness chain inside one block,
+    # each link decided by the one before it.
     n = 301
     steps = np.where((np.arange(n - 1) % 2 == 0)[:, None], [1.0, 0.0], [0.0, 1.0])
     m = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
@@ -227,7 +243,8 @@ def test_chain_of_single_gates_matches_reference():
 
 def test_few_mergeable_rows_under_many_pivots_match_reference():
     # All but 10 covariances singular: every component is a pivot of one
-    # block, but only 10 are free rows, so the liveness matrix is 5000 x 10.
+    # block, but only 10 are free rows, so one block runs 5,000 pivots over
+    # 10 free rows.
     rng = np.random.default_rng(23)
     mix = clustered(rng, 5000, 40, spread=1.0, pos_std=10.0, vel_std=3.0)
     P = np.zeros_like(mix.P)
@@ -238,6 +255,20 @@ def test_few_mergeable_rows_under_many_pivots_match_reference():
     assert got[3] and got[0].shape[0] < 5000  # some wide rows were absorbed
     assert_same_pass(mix.w, mix.m, mix.P, 4.0)
     assert_same_reduce(mix, ReductionConfig(0.0, 4.0, 10_000))
+
+
+def test_non_finite_fast_distances_match_reference():
+    # Means near 1e155 square past float64 in the pivot features, so the
+    # fast distances and their band are infinite. Such pairs count as near
+    # and the direct formula decides them (d2 = 0.91 in the 1e-280 I
+    # inverse); no overflow warning may escape.
+    m = np.array([[1e155, 1e155], [1e155 + 1e140, 1e155]])
+    P = np.tile(1e280 * np.eye(2), (2, 1, 1))
+    w = np.array([1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_pass(w, m, P, 4.0)
+        assert_same_reduce(GaussianMixture(w, m, P), ReductionConfig(0.0, 4.0, 10))
 
 
 def test_live_pivot_keeps_itself_outside_its_own_gate():
