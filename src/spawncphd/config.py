@@ -193,6 +193,9 @@ def load_config(path=None) -> ExperimentConfig:
         keys = ", ".join(f"{key} = {value}" for key, value in groups["region"].items())
         raise ConfigError(f"[scenario] {keys}: {exc}") from None
     scenario = ScenarioConfig(region=region, **groups["scenario"])
+    n = scenario.n_scans
+    if ts := [ev.time for ev in scenario.spawn_events if ev.time >= n]:
+        raise ConfigError(f"[scenario] n_scans = {n}: no scan left for the brood at scan {ts[0]}")
     try:
         reduction = dataclasses.replace(DEFAULT_REDUCTION, **groups["reduction"])
     except InvalidModelError as exc:

@@ -118,15 +118,7 @@ class MotionModel:
         F[0, 2] = F[1, 3] = dt
         q = float(accel_std) ** 2
         a, b, c = q * dt**4 / 4.0, q * dt**3 / 2.0, q * dt**2
-        Q = np.array(
-            [
-                [a, 0.0, b, 0.0],
-                [0.0, a, 0.0, b],
-                [b, 0.0, c, 0.0],
-                [0.0, b, 0.0, c],
-            ]
-        )
-        return cls(F, Q, p_s)
+        return cls(F, np.kron([[a, b], [b, c]], np.eye(2)), p_s)
 
 
 @dataclass(eq=False)

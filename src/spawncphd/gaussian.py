@@ -6,9 +6,8 @@ Gaussian push, of every component through one affine map or a stack of them
 (the survivors' motion, or every spawn kernel term in one call), and
 `reduce_mixture` truncates, merges and caps them. Its merge sweeps do each
 piece of work once: every distinct covariance is inverted once, and only
-merged heads are inverted again. The sweep state keeps those inverses in one
-table, a row referring to its entry by id: 128 bytes a row for d = 4, where a
-copy of the inverse per row would add another 128.
+merged heads are inverted again. The sweep state is per row, its gate
+features and a mergeable flag: 121 bytes a row for d = 4.
 """
 
 from __future__ import annotations
@@ -25,11 +24,13 @@ log = logging.getLogger(__name__)
 
 
 def _require_psd(Q: np.ndarray, what: str) -> np.ndarray:
-    """Symmetrize and verify PSD via a jittered Cholesky attempt."""
+    """Symmetrize and verify PSD via a jittered Cholesky attempt; NaN or inf fails."""
     Q = np.asarray(Q, dtype=float)
     Qs = 0.5 * (Q + Q.T)
     jitter = 1e-12 * max(float(np.trace(Qs)), 1.0)
     try:
+        if not np.isfinite(Qs).all():
+            raise np.linalg.LinAlgError
         np.linalg.cholesky(Qs + jitter * np.eye(Qs.shape[0]))
     except np.linalg.LinAlgError:
         raise InvalidModelError(f"{what} is not positive semidefinite") from None
@@ -194,7 +195,7 @@ def _row_features(m: np.ndarray, inv: np.ndarray, cid: np.ndarray) -> np.ndarray
     """Candidate-side gate features of rows with means m and inverse
     covariances inv[cid]: [x'Ax, -(A + A')x, diag A, upper (A + A')], written
     into one (J, 1 + 2d + d(d-1)/2) array. S = A + A', diag A and upper S are
-    formed once per table entry."""
+    formed once per inverse and gathered by cid."""
     J, d = m.shape
     k, l = _upper_pairs(d)
     S = inv + np.transpose(inv, (0, 2, 1))
@@ -223,22 +224,22 @@ def _pivot_features(m: np.ndarray) -> np.ndarray:
 
 def _merge_pass(
     w: np.ndarray, m: np.ndarray, P: np.ndarray, state: tuple, U: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, tuple | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
     """One greedy merge sweep; outputs come one per pivot, in pivot order.
 
     Pivots are taken in descending-weight order (ties by index). A pivot p
     absorbs every free component i with (m_i - m_p)' A_i (m_i - m_p) <= U,
     A_i being the candidate's own inverse covariance; singular covariances
-    gate nothing. `state` is (F, cid, A, ok): per row its candidate-side
-    features F (`_row_features`) and the id cid of its inverse covariance,
-    per id the inverse A[cid] and its mergeable flag ok[cid]. A sweep that
-    merges returns the state of its outputs: unmerged pivots keep their rows,
-    merged heads get fresh ones and append their inverses to the table.
-    Distances of the free rows to a block of pivots are one GEMM of F with
-    the pivot features, formed once a sweep. Pairs within
-    _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U, a band formed once
-    a sweep, are recomputed with the direct formula, so every gate decision
-    is the direct one.
+    gate nothing. `state` is (F, mergeable): per row its candidate-side
+    features F (`_row_features`) and whether its covariance has a finite
+    inverse. A sweep that merges returns the state of its outputs, unmerged
+    pivots keeping their rows and merged heads getting fresh ones; a sweep
+    that merges nothing returns None. Distances of the free rows to a block
+    of pivots are one GEMM of F with the pivot features, formed once a sweep.
+    Pairs within _GATE_BAND * (1 + sum_f |row_f| max_j |col_f|) of U, a band
+    formed once a sweep, are recomputed with the direct formula, inverting
+    the candidate's covariance again, so every gate decision is the direct
+    one.
 
     A block's gated pairs form one pivot-major list. A pivot is live iff no
     earlier live pivot of its block gates it: one Python loop walks the
@@ -254,10 +255,9 @@ def _merge_pass(
     the heads overwritten in place.
     """
     J, d = m.shape
-    rowF, cid, A, ok = state
+    rowF, mergeable = state
     colF = _pivot_features(m)
     colmax = np.abs(colF).max(axis=0)
-    mergeable = ok[cid]
 
     order = np.argsort(-w, kind="stable")
     rows = np.flatnonzero(mergeable)
@@ -280,7 +280,7 @@ def _merge_pass(
         near = np.flatnonzero(~sure)
         if near.shape[0]:
             diff = m[rows[r[near]]] - m[piv[c[near]]]
-            Ad = np.matmul(diff[:, None, :], A[cid[rows[r[near]]]])[:, 0, :]
+            Ad = np.matmul(diff[:, None, :], np.linalg.inv(P[rows[r[near]]]))[:, 0, :]
             sure[near] = (Ad * diff).sum(axis=1) <= U
         c, r = c[sure], r[sure]  # the gated pairs, pivot-major
 
@@ -307,7 +307,7 @@ def _merge_pass(
     heads = np.flatnonzero(size > 1)
     sel = order[live[order]]
     if not heads.shape[0]:
-        return w[sel], m[sel], P[sel], False, None
+        return w[sel], m[sel], P[sel], None
     mem = np.flatnonzero(size[owner] > 1)  # ascending member order
     grp = np.searchsorted(heads, owner[mem])
     nh = heads.shape[0]
@@ -328,12 +328,11 @@ def _merge_pass(
     at = np.empty(J, dtype=np.intp)
     at[sel] = np.arange(sel.shape[0])
     at = at[heads]  # the heads' output rows
-    w, m, P, rowF, cid = w[sel], m[sel], P[sel], rowF[sel], cid[sel]
+    w, m, P, rowF, mergeable = w[sel], m[sel], P[sel], rowF[sel], mergeable[sel]
     w[at], m[at], P[at] = tot, mbar, Pbar
-    inv, new_ok = _batched_inverses(Pbar)
-    cid[at] = A.shape[0] + np.arange(nh)
+    inv, mergeable[at] = _batched_inverses(Pbar)
     rowF[at] = _row_features(mbar, inv, np.arange(nh))
-    return w, m, P, True, (rowF, cid, np.concatenate([A, inv]), np.concatenate([ok, new_ok]))
+    return w, m, P, (rowF, mergeable)
 
 
 def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixture:
@@ -349,12 +348,13 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
     are kept. Each bitwise-distinct covariance (NaN and -0.0 entries group
     only with identical bits) is inverted once, per-matrix LAPACK giving
     every member the bits an `inv` of the whole stack would; later sweeps
-    invert only merged heads: 88k inverses a `dense_clutter` cycle, not 627k.
+    invert only merged heads and the candidates the exact recheck decides:
+    88k inverses a `dense_clutter` cycle, none of them in the recheck.
 
-    Memory: a sweep's state is 15 features and a covariance id per row, 128
-    bytes for d = 4, plus one inverse per table entry; the pivot features,
-    another 120 bytes a row, live for one sweep. A mixture with no weight
-    below trunc_threshold is not copied.
+    Memory: a sweep's state is 15 features and a mergeable flag per row, 121
+    bytes for d = 4, and no inverse is carried from sweep to sweep; the pivot
+    features, another 120 bytes a row, live for one sweep.
+    A mixture with no weight below trunc_threshold is not copied.
     """
     keep = mix.w >= cfg.trunc_threshold
     w, m, P = (mix.w, mix.m, mix.P) if keep.all() else (mix.w[keep], mix.m[keep], mix.P[keep])
@@ -373,11 +373,9 @@ def reduce_mixture(mix: GaussianMixture, cfg: ReductionConfig) -> GaussianMixtur
     cid = np.empty(J, dtype=np.intp)
     cid[srt] = np.cumsum(first) - 1
     inv, ok = _batched_inverses(P[srt[first]])
-    state = _row_features(m, inv, cid), cid, inv, ok
-    while w.shape[0] > 1:
-        w, m, P, merged_any, state = _merge_pass(w, m, P, state, cfg.merge_threshold)
-        if not merged_any:
-            break
+    state = _row_features(m, inv, cid), ok[cid]
+    while state is not None and w.shape[0] > 1:
+        w, m, P, state = _merge_pass(w, m, P, state, cfg.merge_threshold)
     # A sweep that merges nothing emits its rows sorted, in pivot order.
     n = cfg.max_components
     return GaussianMixture(w[:n], m[:n], P[:n])

@@ -80,13 +80,16 @@ class ScenarioConfig:
             raise ConfigError(f"n_scans = {self.n_scans} must be positive")
         if not 0 <= self.n_max <= MAX_COUNT:
             raise ConfigError(f"n_max = {self.n_max} outside 0..{MAX_COUNT}, the tested range")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigError(f"dt = {self.dt} must be finite and positive")
-        for key in ("accel_std", "noise_std", "kernel_std", "daughter_vel_std",
-                    "birth_pos_std", "birth_vel_std", "clutter_rate", "birth_rate"):
+        variances = ("accel_std", "noise_std", "kernel_std", "birth_pos_std", "birth_vel_std")
+        for key in variances + ("daughter_vel_std", "clutter_rate", "birth_rate"):
             value = getattr(self, key)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{key} = {value} must be finite and nonnegative")
+            if key in variances and not np.isfinite(value * value):
+                raise ConfigError(f"{key} = {value}: its square, a variance, overflows float64")
+        dt = self.dt  # accel_std^2 dt^4 / 4 is the largest process noise term when dt > 1
+        if not (dt > 0.0 and np.isfinite(self.accel_std**2 * (dt * dt * dt * dt))):
+            raise ConfigError(f"dt = {dt} must be positive, with accel_std^2 dt^4 finite")
 
     # Model builders used by the filter side of an experiment.
 

@@ -180,6 +180,10 @@ class TestRefusedInputs:
             ("metrics", "ospa_cutoff_pos = 0"),
             ("experiment", "seed = -4"),
             ("scenario", "n_max = 501"),
+            ("motion", "accel_std = 1e200"),
+            ("sensor", "noise_std = 1e200"),
+            ("spawn", "kernel_std = 1e200"),
+            ("motion", "dt = 1e100"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, section, line):
@@ -191,6 +195,17 @@ class TestRefusedInputs:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{key} = " in err and "Traceback" not in err
+
+    def test_birth_std_named_by_its_field(self, tmp_path, capsys):
+        # A standard deviation whose square overflows would crash the model
+        # builders; the [birth] keys are named by their fields.
+        path = tmp_path / "bad.ini"
+        path.write_text("[birth]\npos_std = 1e200\n")
+        with pytest.raises(ConfigError, match=r"^birth_pos_std = 1e\+200: "):
+            load_config(str(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "birth_pos_std = " in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "section, line",
@@ -206,12 +221,14 @@ class TestRefusedInputs:
             ("birth", "rate = -0.5"),
             ("scenario", "xmin = 2000"),
             ("scenario", "ymax = -2000"),
+            ("scenario", "n_scans = 10"),
         ],
     )
     def test_model_range_refused_before_output(self, tmp_path, capsys, section, line):
-        # The models' own probability and rate checks and the region's bounds
-        # check, run as the file is read: no truth is simulated and no output
-        # directory is made.
+        # The models' own probability and rate checks, the region's bounds
+        # check and the spawn events' scans (the stock broods come at scans 15
+        # and 25), run as the file is read: no truth is simulated and no
+        # output directory is made.
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{line}\n")
         where = f"[{section}] {line.split(' = ')[0]} = "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spawncphd.errors import InvalidModelError
-from spawncphd.filtering import MotionModel
+from spawncphd.filtering import MotionModel, Rect, SensorModel
 from spawncphd.gaussian import (
     GaussianMixture,
     ReductionConfig,
@@ -90,14 +90,20 @@ class TestAffineTransform:
                 ),
                 "spawn kernel covariance term 1",
             ),
+            (
+                lambda Q: SensorModel(np.eye(2, 4), Q[2:, 2:], 0.9, 1.0, Rect(0.0, 1.0, 0.0, 1.0)),
+                "measurement noise covariance",
+            ),
         ],
-        ids=["motion", "spawn-kernel"],
+        ids=["motion", "spawn-kernel", "sensor"],
     )
     def test_models_refuse_non_psd_noise_when_built(self, build, what):
         # transform_mixture takes Q as given; each model that supplies one
-        # checks it once, at construction.
-        with pytest.raises(InvalidModelError, match=f"^{what} is not positive semidefinite$"):
-            build(np.diag([1.0, 1.0, 1.0, -1.0]))
+        # checks it once, at construction. A NaN entry passes np.linalg.cholesky
+        # without an error, so it is refused on its own.
+        for Q in (np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 1.0, np.nan])):
+            with pytest.raises(InvalidModelError, match=f"^{what} is not positive semidefinite$"):
+                build(Q)
 
     def test_stacked_terms_are_component_major(self):
         # F, d, Q and scale each hold one term or a stack of T; term t of the

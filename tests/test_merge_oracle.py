@@ -4,9 +4,9 @@
 directly, in row chunks of one (J, J) table, and runs the greedy one pivot at
 a time, emitting one output per pivot in pivot order. `_merge_pass` must agree
 with it bit for bit, here on mixtures large enough to span many gate blocks.
-`reduce_mixture` carries gate features and a table of inverses, one per
-distinct covariance, from sweep to sweep; update-shaped mixtures, many rows
-sharing each covariance, exercise that.
+`reduce_mixture` inverts each distinct covariance once and carries each
+row's gate features and mergeable flag from sweep to sweep; update-shaped
+mixtures, many rows sharing each covariance, exercise that.
 """
 
 import warnings
@@ -77,22 +77,15 @@ def reference_reduce(mix, cfg):
 
 
 def fresh_state(m, P):
-    """The sweep state `reduce_mixture` starts from, computed row by row: a
-    table entry per row."""
+    """The sweep state `reduce_mixture` starts from, computed row by row, each
+    row with its own inverse."""
     inv, mergeable = _batched_inverses(P)
-    cid = np.arange(m.shape[0])
-    return _row_features(m, inv, cid), cid, inv, mergeable
-
-
-def per_row(state):
-    """A state's features, inverses and mergeable flags, row by row."""
-    F, cid, inv, mergeable = state
-    return F, inv[cid], mergeable[cid]
+    return _row_features(m, inv, np.arange(m.shape[0])), mergeable
 
 
 def assert_same_pass(w, m, P, U):
     got, ref = _merge_pass(w, m, P, fresh_state(m, P), U), reference_merge_pass(w, m, P, U)
-    assert got[3] == ref[3]
+    assert (got[3] is not None) == ref[3]
     for a, b in zip(got[:3], ref[:3]):
         assert np.array_equal(a, b)
 
@@ -201,8 +194,8 @@ def test_pivot_absorbs_only_its_own_gate():
     w = np.array([1.0, 0.8, 0.6, 0.5, 0.25])
     m = np.array([[0.0], [1.5], [3.0], [-5.0], [-8.0]])
     P = np.array([[[25.0]], [[1.0]], [[1.0]], [[1.0]], [[25.0]]])
-    ow, om, oP, merged_any, _ = _merge_pass(w, m, P, fresh_state(m, P), 4.0)
-    assert merged_any
+    ow, om, oP, state = _merge_pass(w, m, P, fresh_state(m, P), 4.0)
+    assert state is not None
     take = [0, 1, 4]
     tot = 1.0 + 0.8 + 0.25
     mbar = (0.8 * 1.5 - 0.25 * 8.0) / tot
@@ -252,7 +245,7 @@ def test_few_mergeable_rows_under_many_pivots_match_reference():
     P[wide] = mix.P[wide] * 25.0
     mix = GaussianMixture(mix.w, mix.m, P)
     got = _merge_pass(mix.w, mix.m, mix.P, fresh_state(mix.m, mix.P), 4.0)
-    assert got[3] and got[0].shape[0] < 5000  # some wide rows were absorbed
+    assert got[3] is not None and got[0].shape[0] < 5000  # some wide rows were absorbed
     assert_same_pass(mix.w, mix.m, mix.P, 4.0)
     assert_same_reduce(mix, ReductionConfig(0.0, 4.0, 10_000))
 
@@ -278,11 +271,33 @@ def test_live_pivot_keeps_itself_outside_its_own_gate():
     w = np.array([1.0, 0.5])
     m = np.array([[0.0], [2.0]])
     P = np.array([[[-1.0]], [[1.0]]])
-    ow, om, oP, merged_any, _ = _merge_pass(w, m, P, fresh_state(m, P), -1.0)
-    assert not merged_any
+    ow, om, oP, state = _merge_pass(w, m, P, fresh_state(m, P), -1.0)
+    assert state is None
     np.testing.assert_array_equal(ow, w)
     np.testing.assert_array_equal(om, m)
     np.testing.assert_array_equal(oP, P)
+
+
+def test_merged_head_on_the_gate_is_rechecked_with_its_own_inverse():
+    # 1-d. The first sweep merges a and b (distance 4 in b's metric) into a
+    # head h of variance ~2; p gates neither (9 and 25). In the second sweep
+    # p is the pivot and h a candidate exactly on the gate: U is their direct
+    # distance in h's own inverse, so the fast distance lands in the rounding
+    # band and the recheck decides the pair with the inverse of h's merged
+    # covariance, which no row of the first sweep had.
+    w = np.array([3.0, 1.0, 0.9])
+    m = np.array([[0.0], [3.0], [5.0]])
+    P = np.ones((3, 1, 1))
+    ow, om, oP, state = _merge_pass(w, m, P, fresh_state(m, P), 5.0)
+    assert state is not None and ow.tolist() == [3.0, 1.9]
+    diff = om[1] - om[0]
+    U = float((np.matmul(diff[None, :], np.linalg.inv(oP[1]))[0] * diff).sum())
+    assert 4.0 < U < 9.0  # the first sweep gates as it does at 5
+    assert len(reduce_mixture(GaussianMixture(w, m, P), ReductionConfig(0.0, U, 10))) == 1
+    below = np.nextafter(U, 0.0)
+    assert len(reduce_mixture(GaussianMixture(w, m, P), ReductionConfig(0.0, below, 10))) == 2
+    for u in (U, below):
+        assert_same_reduce(GaussianMixture(w, m, P), ReductionConfig(0.0, u, 10))
 
 
 def test_singular_members_match_per_matrix_inverse(monkeypatch):
@@ -358,8 +373,8 @@ def sweep_counter(monkeypatch, check=True):
 
     def counting(w, m, P, state, U):
         out = inner(w, m, P, state, U)
-        if check and out[4] is not None:
-            for a, b in zip(per_row(out[4]), per_row(fresh_state(out[1], out[2]))):
+        if check and out[3] is not None:
+            for a, b in zip(out[3], fresh_state(out[1], out[2])):
                 assert np.array_equal(a, b, equal_nan=True)
         rows = {(a.tobytes(), b.tobytes(), c.tobytes()) for a, b, c in zip(w, m, P)}
         seen["sweeps"] += 1
@@ -423,10 +438,11 @@ def test_inverts_each_distinct_covariance_once_and_each_merged_head(monkeypatch)
 
 def test_reduction_memory_per_row(traced_peak):
     # The largest `dense_clutter` input is 7,117 rows over about 200 distinct
-    # covariances. The sweep state is 15 features and a covariance id a row,
-    # plus an inverse per distinct covariance; this measured 4.25 MB, 607
-    # bytes a row. 46 doubles a row, each with its own inverse, and a copy of
-    # the mixture in every merging sweep measured 10.16 MB, 1,451 bytes a row.
+    # covariances. The sweep state is 15 features and a mergeable flag a row;
+    # this measured 4.28 MB, 612 bytes a row (614 with a covariance id a row
+    # into a table of inverses). 46 doubles a row, each with its own inverse,
+    # and a copy of the mixture in every merging sweep measured 10.16 MB,
+    # 1,451 bytes a row.
     mix = update_shaped(np.random.default_rng(47), 200, 35, spread=1.5)
     cfg = ReductionConfig(1e-5, 4.0, 100)
     reduce_mixture(mix, cfg)
