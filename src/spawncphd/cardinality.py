@@ -242,7 +242,8 @@ def predict_cardinality(
     q = np.pad(b.pmf[: N + 1], (0, max(0, N - b.n_max)))
     G, T = _predict_tables(q.tobytes())
     out = T @ (G @ rho.probs)
-    total = float(np.cumsum(out)[-1])
+    if not (total := float(np.cumsum(out)[-1])) > 0.0:
+        raise NumericalError(f"the predicted count leaves no mass at or below n_max = {N}")
     deficit = max(0.0, 1.0 - total)
     if deficit > 1e-9:
         log.debug("cardinality prediction truncated %.3e mass beyond n_max=%d", deficit, N)

@@ -11,6 +11,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cardinality import MAX_RATE, _check_prob, _check_rate
 from .errors import ConfigError, InvalidModelError
 from .filtering import DEFAULT_REDUCTION, Rect
@@ -62,6 +64,15 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{key} = {value} must be finite and positive")
+        # The Hellinger ideal is a count pmf on 0..n_max: it must hold the truth.
+        counts = np.zeros(self.scenario.n_scans, dtype=int)
+        for _, first, last in self.scenario.schedule():
+            counts[first : last + 1] += 1
+        if (peak := counts.max()) > self.scenario.n_max:
+            raise ConfigError(
+                f"n_max = {self.scenario.n_max}: the scripted truth holds "
+                f"{peak} targets at scan {counts.argmax()}"
+            )
 
     def spawn_model(self, name: str) -> SpawnModel:
         kernel = self.scenario.spawn_kernel()
@@ -193,9 +204,6 @@ def load_config(path=None) -> ExperimentConfig:
         keys = ", ".join(f"{key} = {value}" for key, value in groups["region"].items())
         raise ConfigError(f"[scenario] {keys}: {exc}") from None
     scenario = ScenarioConfig(region=region, **groups["scenario"])
-    n = scenario.n_scans
-    if ts := [ev.time for ev in scenario.spawn_events if ev.time >= n]:
-        raise ConfigError(f"[scenario] n_scans = {n}: no scan left for the brood at scan {ts[0]}")
     try:
         reduction = dataclasses.replace(DEFAULT_REDUCTION, **groups["reduction"])
     except InvalidModelError as exc:

@@ -36,7 +36,7 @@ from .cardinality import (
     poisson_pmf,
     predict_cardinality,
 )
-from .errors import ConfigError, DomainError, InvalidModelError, NumericalError
+from .errors import DomainError, InvalidModelError, NumericalError
 from .gaussian import (
     GaussianMixture,
     ReductionConfig,
@@ -73,6 +73,8 @@ class Rect:
     def __post_init__(self) -> None:
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise InvalidModelError("rectangle bounds must satisfy min < max")
+        if not 0.0 < self.area < np.inf:  # the clutter density is 1 / area
+            raise InvalidModelError(f"rectangle area {self.area} must be finite and positive")
 
     @property
     def area(self) -> float:
@@ -233,8 +235,7 @@ def predict_birth(
 
 
 def _as_scan_array(scan, k: int) -> np.ndarray:
-    z = getattr(scan, "z", scan)
-    z = np.asarray(z, dtype=float)
+    z = np.asarray(scan, dtype=float)
     if z.size == 0:
         return z.reshape(0, k)
     if z.ndim != 2 or z.shape[1] != k:
@@ -276,19 +277,20 @@ def update(
 ) -> FilterState:
     """Measurement update of intensity and count distribution.
 
-    `scan` is an (M, k) array of measurements (or any object with a `.z`
-    attribute holding one). `reduction=None` keeps the exact posterior
-    mixture: every weight, all >= 0, where a reduction first keeps those >=
-    its trunc_threshold, through the same assembly. The quadratic forms
-    round as numpy's trailing-axis sum does for k <= 7 measurement
-    coordinates (pairwise from 8); every configured sensor has k = 2. An
-    `InvalidModelError` is raised if the intensity's state dimension is not
-    the sensor's; a `NumericalError` if an innovation covariance H P H^T + R
-    is not positive definite, or by `count_update`. An empty or massless
-    intensity takes the same path: every association strength is 0, so the
-    count pmf becomes (1 - p_d)^n rho(n), renormalized, and a scan without
-    clutter to explain it has zero likelihood; with `reduction=None` a
-    massless intensity of J components lists its J (M + 1) zero-weight rows.
+    `scan` is an (M, k) array of measurements. `reduction=None` keeps the
+    exact posterior mixture: every weight, all >= 0, where a reduction first
+    keeps those >= its trunc_threshold, through the same assembly. The
+    quadratic forms round as numpy's trailing-axis sum does for k <= 7
+    measurement coordinates (pairwise from 8); every configured sensor has
+    k = 2. An `InvalidModelError` is raised if the intensity's state
+    dimension is not the sensor's; a `NumericalError` if an innovation
+    covariance H P H^T + R is not positive definite, or by `count_update`.
+    A scan without clutter keeps only the count update's degree-M term, at
+    any p_d. An empty or massless intensity takes the same path: every
+    association strength is 0, so the count pmf becomes (1 - p_d)^n rho(n),
+    renormalized, and a scan without clutter to explain it has zero
+    likelihood; with `reduction=None` a massless intensity of J components
+    lists its J (M + 1) zero-weight rows.
 
     Memory: innovations are formed in blocks of whole components, at most
     `_PAIR_BLOCK` pairs where a component allows, and the means of kept
@@ -302,10 +304,6 @@ def update(
     z = _as_scan_array(scan, sensor.H.shape[0])
     M = z.shape[0]
     p_d, lam_c = sensor.p_d, sensor.clutter_rate
-    if lam_c == 0.0 and M > 0 and p_d < 1.0:
-        raise ConfigError(
-            "zero clutter rate with a nonempty scan requires certain detection"
-        )
 
     mix = state.intensity
     if mix.dim != sensor.H.shape[1]:
@@ -320,22 +318,24 @@ def update(
     # Per-component innovation statistics and per-measurement densities. The
     # innovations and the quadratic form (nu Sinv) . nu go one measurement
     # coordinate at a time, left to right, in blocks of whole components that
-    # each fill their own rows of the (J, M) table q.
+    # each fill their own rows of the (J, M) table q. A form that overflows
+    # to inf has the likelihood exp(-inf) = 0 that its true value rounds to.
     Sinv, Kg, P_upd, norm = _innovation_stats(mix, sensor.H, sensor.R)
     Hm = mix.m @ sensor.H.T
     k = sensor.H.shape[0]
     q = np.empty((J, M))  # quadratic form, then likelihood
     step = max(1, _PAIR_BLOCK // max(M, 1))
-    for a in range(0, J, step):
-        rows = slice(a, a + step)
-        nu = np.empty((min(step, J - a), M, k))
-        for c in range(k):
-            np.subtract(z[None, :, c], Hm[rows, c, None], out=nu[:, :, c])
-        X = np.matmul(nu, Sinv[rows])
-        np.multiply(X[..., 0], nu[..., 0], out=q[rows])
-        for c in range(1, k):
-            q[rows] += X[..., c] * nu[..., c]
-        del nu, X
+    with np.errstate(over="ignore"):
+        for a in range(0, J, step):
+            rows = slice(a, a + step)
+            nu = np.empty((min(step, J - a), M, k))
+            for c in range(k):
+                np.subtract(z[None, :, c], Hm[rows, c, None], out=nu[:, :, c])
+            X = np.matmul(nu, Sinv[rows])
+            np.multiply(X[..., 0], nu[..., 0], out=q[rows])
+            for c in range(1, k):
+                q[rows] += X[..., c] * nu[..., c]
+            del nu, X
     q *= -0.5
     np.exp(q, out=q)
     q /= norm[:, None]

@@ -24,6 +24,10 @@ from .spawning import SpawnModel, SpawnSpatialModel
 
 logger = logging.getLogger(__name__)
 
+# Most clutter points a scan on average: 500 times dense_clutter's, and 8 MB
+# a component in update's likelihood table.
+MAX_CLUTTER = 1e6
+
 
 @dataclass(frozen=True)
 class SpawnEvent:
@@ -34,10 +38,6 @@ class SpawnEvent:
     parent: int
     count: int
     lifespan: int
-
-    def __post_init__(self) -> None:
-        if self.time < 0 or self.count < 1 or self.lifespan < 0 or self.parent < 0:
-            raise ConfigError(f"invalid spawn event {self}")
 
 
 _DEFAULT_INITIAL = (
@@ -87,9 +87,31 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} = {value} must be finite and nonnegative")
             if key in variances and not np.isfinite(value * value):
                 raise ConfigError(f"{key} = {value}: its square, a variance, overflows float64")
+        if self.clutter_rate > MAX_CLUTTER:
+            raise ConfigError(f"clutter_rate = {self.clutter_rate} exceeds {MAX_CLUTTER:.0e}")
         dt = self.dt  # accel_std^2 dt^4 / 4 is the largest process noise term when dt > 1
         if not (dt > 0.0 and np.isfinite(self.accel_std**2 * (dt * dt * dt * dt))):
             raise ConfigError(f"dt = {dt} must be positive, with accel_std^2 dt^4 finite")
+        self.schedule()
+
+    def schedule(self) -> list:
+        """Every truth track as (parent, first scan, last scan): the initial
+        targets, then each event's daughters in event order, their lives
+        clipped to the run. The only reader of `spawn_events`."""
+        last = self.n_scans - 1
+        tracks = [(None, 0, last)] * len(self.initial_states)
+        for ev in self.spawn_events:
+            if ev.time > last:
+                raise ConfigError(
+                    f"n_scans = {self.n_scans}: no scan left for the brood at scan {ev.time}"
+                )
+            _, born, dies = tracks[ev.parent] if 0 <= ev.parent < len(tracks) else (None, 0, -1)
+            if not born <= ev.time <= dies:
+                raise ConfigError(f"spawn_events: track {ev.parent} not alive at scan {ev.time}")
+            if ev.count < 1 or ev.lifespan < 0:
+                raise ConfigError(f"spawn_events: {ev} needs a daughter and a lifespan >= 0")
+            tracks += [(ev.parent, ev.time, min(ev.time + ev.lifespan, last))] * ev.count
+        return tracks
 
     # Model builders used by the filter side of an experiment.
 
@@ -144,11 +166,6 @@ class TruthTrack:
     def alive(self, t: int) -> bool:
         return self.t_birth <= t <= self.t_death
 
-    def state_at(self, t: int) -> np.ndarray:
-        if not self.alive(t):
-            raise DomainError(f"track not alive at scan {t}")
-        return self.states[t - self.t_birth]
-
 
 @dataclass
 class GroundTruth:
@@ -163,23 +180,12 @@ class GroundTruth:
         return out
 
     def states_at(self, t: int) -> np.ndarray:
-        alive = [trk.state_at(t) for trk in self.tracks if trk.alive(t)]
+        alive = [trk.states[t - trk.t_birth] for trk in self.tracks if trk.alive(t)]
         return np.stack(alive) if alive else np.empty((0, 4))
 
     def __iter__(self) -> Iterator[np.ndarray]:
         """Each scan's true states, in scan order."""
         return (self.states_at(t) for t in range(self.n_scans))
-
-
-@dataclass
-class MeasurementScan:
-    """One scan: measurement rows are a shuffled mix of detections and clutter."""
-
-    time: int
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float)
 
 
 def _propagate(x0: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
@@ -191,57 +197,42 @@ def _propagate(x0: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
 
 
 def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:
-    """Build the scripted target set. Only daughter velocities consume rng."""
+    """Draw the tracks of `cfg.schedule()`. Only daughter velocities consume rng."""
     F = cfg.motion_model().F
-    tracks: list[TruthTrack] = []
-    for x0 in cfg.initial_states:
-        tracks.append(TruthTrack(None, 0, _propagate(np.asarray(x0, float), F, cfg.n_scans)))
-    for ev in cfg.spawn_events:
-        if ev.parent >= len(tracks):
-            raise ConfigError(f"spawn event references unknown track {ev.parent}")
-        parent = tracks[ev.parent]
-        if ev.time >= cfg.n_scans or not parent.alive(ev.time):
-            raise ConfigError(
-                f"spawn event at scan {ev.time} outside parent track's life"
-            )
-        px = parent.state_at(ev.time)
-        horizon = min(ev.lifespan, cfg.n_scans - 1 - ev.time)
-        for _ in range(ev.count):
-            vel = px[2:] + rng.normal(0.0, cfg.daughter_vel_std, size=2)
-            x0 = np.array([px[0], px[1], vel[0], vel[1]])
-            tracks.append(TruthTrack(ev.parent, ev.time, _propagate(x0, F, horizon + 1)))
+    tracks = [
+        TruthTrack(None, 0, _propagate(np.asarray(x0, float), F, cfg.n_scans))
+        for x0 in cfg.initial_states
+    ]
+    for parent, first, last in cfg.schedule()[len(tracks) :]:
+        px = tracks[parent].states[first - tracks[parent].t_birth]
+        vel = px[2:] + rng.normal(0.0, cfg.daughter_vel_std, size=2)
+        x0 = np.array([px[0], px[1], vel[0], vel[1]])
+        tracks.append(TruthTrack(parent, first, _propagate(x0, F, last - first + 1)))
     # Tracks are kept alive outside the region, but the sensor will not see
     # them there, so flag excursions: they usually indicate a config problem.
-    strays = 0
-    first_exit = None
-    for trk in tracks:
-        inside = cfg.region.contains(trk.states[:, :2])
-        if not inside.all():
-            strays += 1
-            exit_scan = trk.t_birth + int(np.argmin(inside))
-            first_exit = exit_scan if first_exit is None else min(first_exit, exit_scan)
-    if strays:
+    inside = [cfg.region.contains(trk.states[:, :2]) for trk in tracks]
+    exits = [trk.t_birth + int(np.argmin(i)) for trk, i in zip(tracks, inside) if not i.all()]
+    if exits:
         logger.warning(
             "%d of %d truth tracks leave the surveillance region (first exit at scan %d)",
-            strays,
-            len(tracks),
-            first_exit,
+            len(exits), len(tracks), min(exits),
         )
     return GroundTruth(tracks, cfg.n_scans)
 
 
 def generate_measurements(
     states: Iterable[np.ndarray], cfg: ScenarioConfig, rng: np.random.Generator
-) -> list[MeasurementScan]:
-    """Noisy position detections (probability p_d each) of each scan's states plus
-    uniform Poisson clutter, shuffled together so array order carries no information.
+) -> list[np.ndarray]:
+    """Each scan's (M, 2) measurements: noisy position detections (probability
+    p_d each) of its states plus uniform Poisson clutter, shuffled together so
+    array order carries no information.
 
     The sensor only covers the configured region: targets outside it are
     never detected, and a detection whose noisy position falls outside is
     dropped, so every reported point lies within the region.
     """
     scans = []
-    for t, X in enumerate(states):
+    for X in states:
         det = (rng.random(X.shape[0]) < cfg.p_d) & cfg.region.contains(X[:, :2])
         nd = int(det.sum())
         hits = X[det, :2] + rng.normal(0.0, cfg.noise_std, size=(nd, 2))
@@ -250,7 +241,7 @@ def generate_measurements(
         z = np.concatenate([hits, cfg.region.sample(rng, n_clutter)])
         # The draws and rows of rng.shuffle(z, axis=0), without its row swaps.
         z = z[rng.permutation(z.shape[0])]
-        scans.append(MeasurementScan(t, z))
+        scans.append(z)
     return scans
 
 

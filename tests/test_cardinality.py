@@ -29,7 +29,7 @@ from spawncphd.cardinality import (
     poisson_pmf,
     predict_cardinality,
 )
-from spawncphd.errors import DomainError, InvalidModelError
+from spawncphd.errors import DomainError, InvalidModelError, NumericalError
 from spawncphd.spawning import (
     BernoulliSpawn,
     PoissonSpawn,
@@ -203,6 +203,13 @@ class TestPredictCardinality:
         for model in MODELS:
             out = predict_cardinality(rho, bell_coefficients(model, PS, 12))
             np.testing.assert_array_equal(out.probs, rho.probs)
+
+    def test_no_mass_within_n_max_is_named(self):
+        # Two parents of 500 expected daughters each: every count <= 20 has
+        # probability below 1e-160 a parent, and their product underflows.
+        b = bell_coefficients(PoissonSpawn(500.0, KERNEL), PS, 20)
+        with pytest.raises(NumericalError, match="^the predicted count leaves no mass at or below n_max = 20$"):
+            predict_cardinality(CardinalityDistribution.delta(2, 20), b)
 
     def test_matches_pgf_composition_oracle(self):
         rng = np.random.default_rng(107)

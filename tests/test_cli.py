@@ -184,17 +184,25 @@ class TestRefusedInputs:
             ("sensor", "noise_std = 1e200"),
             ("spawn", "kernel_std = 1e200"),
             ("motion", "dt = 1e100"),
+            ("sensor", "clutter_rate = 1e12"),
+            # the stock broods come at scans 15 and 25, and 7 targets live at 25
+            ("scenario", "n_scans = 10"),
+            ("scenario", "n_max = 3"),
         ],
     )
     def test_config_value(self, tmp_path, capsys, section, line):
+        # Checked as the config is built: nothing is simulated and no output
+        # directory is made.
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{line}\n")
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=rf"^{key} = "):
             load_config(str(path))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{key} = " in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_birth_std_named_by_its_field(self, tmp_path, capsys):
         # A standard deviation whose square overflows would crash the model
@@ -221,14 +229,13 @@ class TestRefusedInputs:
             ("birth", "rate = -0.5"),
             ("scenario", "xmin = 2000"),
             ("scenario", "ymax = -2000"),
-            ("scenario", "n_scans = 10"),
+            ("scenario", "xmin = -1e308"),  # an infinite area
         ],
     )
     def test_model_range_refused_before_output(self, tmp_path, capsys, section, line):
-        # The models' own probability and rate checks, the region's bounds
-        # check and the spawn events' scans (the stock broods come at scans 15
-        # and 25), run as the file is read: no truth is simulated and no
-        # output directory is made.
+        # The models' own probability and rate checks and the region's bounds
+        # and area check run as the file is read: no truth is simulated and
+        # no output directory is made.
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{line}\n")
         where = f"[{section}] {line.split(' = ')[0]} = "

@@ -17,7 +17,7 @@ from spawncphd.config import _SCHEMA, CSV_HEADER, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
 from spawncphd.gaussian import ReductionConfig
-from spawncphd.sim import GroundTruth, ScenarioConfig
+from spawncphd.sim import MAX_CLUTTER, GroundTruth, ScenarioConfig
 from spawncphd.spawning import bell_coefficients
 
 EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
@@ -200,10 +200,22 @@ class TestLoadConfig:
         assert config_field(load_config(str(ini)), dest) == value
         assert config_field(load_config(None), dest) != value
 
-    def test_clutter_rate_stays_unbounded(self, tmp_path):
+    def test_clutter_rate_up_to_its_limit_loads(self, tmp_path):
         ini = tmp_path / "clutter.ini"
-        ini.write_text("[sensor]\nclutter_rate = 2000\n")
-        assert load_config(str(ini)).scenario.clutter_rate == 2000.0
+        for rate in (2000.0, MAX_CLUTTER):
+            ini.write_text(f"[sensor]\nclutter_rate = {rate!r}\n")
+            assert load_config(str(ini)).scenario.clutter_rate == rate
+        ini.write_text(f"[sensor]\nclutter_rate = {float(np.nextafter(MAX_CLUTTER, np.inf))!r}\n")
+        with pytest.raises(ConfigError, match=r"^clutter_rate = 1000000\.0000000001 exceeds 1e\+06$"):
+            load_config(str(ini))
+
+    @pytest.mark.parametrize("events, n_max, where", [((), 2, "2 targets at scan 0"), (None, 7, "7 targets at scan 25")])
+    def test_n_max_below_the_scripted_peak_rejected(self, events, n_max, where):
+        events = {} if events is None else {"spawn_events": events}
+        ExperimentConfig(scenario=ScenarioConfig(n_max=n_max, **events))
+        scenario = ScenarioConfig(n_max=n_max - 1, **events)  # the scenario alone holds any n_max
+        with pytest.raises(ConfigError, match=rf"^n_max = {n_max - 1}: the scripted truth holds {where}$"):
+            ExperimentConfig(scenario=scenario)
 
     def test_unknown_model_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"

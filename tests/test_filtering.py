@@ -357,11 +357,13 @@ class TestUpdate:
             post.intensity.total_weight, post.cardinality.mean, rtol=1e-10
         )
 
-    def test_zero_clutter_with_measurements_needs_full_detection(self):
+    def test_overflowing_quadratic_form_is_zero_likelihood(self):
+        # (1e160)^2 / S overflows float64; exp(-inf) = 0 is the likelihood
+        # the exact form rounds to, and no RuntimeWarning leaks.
         state = two_target_state()
-        sensor = SensorModel.position_sensor(10.0, p_d=0.9, clutter_rate=0.0, fov=FOV)
-        with pytest.raises(ConfigError):
-            update(state, np.array([[0.0, 0.0]]), sensor)
+        sensor = SensorModel.position_sensor(10.0, 0.9, 5.0, Rect(-1000.0, 1e160, -1000.0, 1000.0))
+        post = update(state, np.array([[1e160, 0.0], [-600.0, -600.0]]), sensor, reduction=None)
+        assert np.all(post.intensity.w[2:4] == 0.0) and np.all(post.intensity.w[4:] > 0.0)
 
     def test_empty_intensity_keeps_empty_count(self):
         state = FilterState(GaussianMixture.empty(4), CardinalityDistribution.delta(0, 10))
@@ -642,12 +644,15 @@ class TestUpdateAssociationSum:
     """`update` against an explicit sum over measurement-to-target
     associations, an oracle that shares no arithmetic with the ESF tables."""
 
+    @pytest.mark.parametrize("clutter_rate", [2.5, 0.0])
     @pytest.mark.parametrize("p_d", [0.0, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("M", [0, 1, 2, 4])
-    def test_matches_association_sum(self, M, p_d):
+    def test_matches_association_sum(self, M, p_d, clutter_rate):
+        # Without clutter every measurement is a detection: n_max >= M, and
+        # p_d = 0 leaves a nonempty scan no posterior.
         rng = np.random.default_rng(int(100 * p_d) + M)
         fov = Rect(-60.0, 60.0, -60.0, 60.0)
-        for n_max in range(5):
+        for n_max in range(5) if clutter_rate else range(M, M + 5):
             J = int(rng.integers(1, 4))
             mix = GaussianMixture(
                 rng.uniform(0.2, 1.5, size=J),
@@ -657,8 +662,12 @@ class TestUpdateAssociationSum:
             state = FilterState(
                 mix, CardinalityDistribution(rng.uniform(0.1, 1.0, size=n_max + 1), normalize=True)
             )
-            sensor = SensorModel.position_sensor(8.0, p_d, 2.5, fov)
+            sensor = SensorModel.position_sensor(8.0, p_d, clutter_rate, fov)
             z = rng.uniform(-50.0, 50.0, size=(M, 2))
+            if clutter_rate == 0.0 and M > 0 and p_d == 0.0:
+                with pytest.raises(NumericalError, match="zero likelihood"):
+                    update(state, z, sensor, reduction=None)
+                continue
             counts, w_miss, w_det = association_sum_update(state, z, sensor)
             post = update(state, z, sensor, reduction=None)
             np.testing.assert_allclose(post.cardinality.probs, counts, rtol=1e-12, atol=0)
@@ -748,10 +757,6 @@ def referee_scene(M, n_max, p_d, clutter_rate, s_w, seed):
 def assert_update_matches_referee(state, z, sensor):
     """The exact posterior's count pmf and miss weights against the referee,
     or the typed error of a scene without a posterior."""
-    if sensor.clutter_rate == 0.0 and z.shape[0] > 0 and sensor.p_d < 1.0:
-        with pytest.raises(ConfigError):
-            update(state, z, sensor, reduction=None)
-        return
     ref = referee_count_update(state, z, sensor)
     if ref is None:  # more measurements than counts, and no clutter
         with pytest.raises(NumericalError, match="zero likelihood"):

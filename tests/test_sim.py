@@ -8,7 +8,6 @@ from scipy import stats
 from spawncphd.cardinality import CardinalityDistribution, predict_cardinality
 from spawncphd.errors import ConfigError
 from spawncphd.sim import (
-    MeasurementScan,
     ScenarioConfig,
     SpawnEvent,
     generate_measurements,
@@ -77,11 +76,34 @@ class TestTruth:
         assert truth.states_at(99).shape == (2, 4)
 
     def test_event_outside_parent_life_rejected(self):
+        with pytest.raises(ConfigError, match="^n_scans = 100: no scan left for the brood at scan 150$"):
+            ScenarioConfig(spawn_events=(SpawnEvent(time=150, parent=0, count=1, lifespan=10),))
+
+    @pytest.mark.parametrize(
+        "event, scan",
+        [
+            (SpawnEvent(time=10, parent=2, count=1, lifespan=5), 10),  # no track 2
+            (SpawnEvent(time=30, parent=2, count=1, lifespan=5), 30),  # track 2 died at 25
+        ],
+    )
+    def test_event_without_live_parent_rejected(self, event, scan):
+        first = SpawnEvent(time=20, parent=0, count=1, lifespan=5)
+        events = (event,) if event.time < 20 else (first, event)
+        with pytest.raises(ConfigError, match=rf"^spawn_events: track 2 not alive at scan {scan}$"):
+            ScenarioConfig(spawn_events=events)
+
+    def test_schedule_lists_initial_targets_then_broods(self):
+        # Lives clipped to the run; a daughter may parent a later brood.
         cfg = ScenarioConfig(
-            spawn_events=(SpawnEvent(time=150, parent=0, count=1, lifespan=10),)
+            n_scans=50,
+            spawn_events=(
+                SpawnEvent(time=15, parent=0, count=2, lifespan=60),
+                SpawnEvent(time=20, parent=2, count=1, lifespan=3),
+            ),
         )
-        with pytest.raises(ConfigError):
-            generate_truth(cfg, np.random.default_rng(0))
+        assert cfg.schedule() == [(None, 0, 49), (None, 0, 49), (0, 15, 49), (0, 15, 49), (2, 20, 23)]
+        truth = generate_truth(cfg, np.random.default_rng(0))
+        assert [(t.parent, t.t_birth, t.t_death) for t in truth.tracks] == cfg.schedule()
 
 
 class TestMeasurements:
@@ -95,13 +117,12 @@ class TestMeasurements:
         from scipy.optimize import linear_sum_assignment
 
         left_region = 0
-        for t, scan in enumerate(scans):
-            assert scan.time == t
+        for t, z in enumerate(scans):
             pos = truth.states_at(t)[:, :2]
             visible = pos[cfg.region.contains(pos)]
             left_region += pos.shape[0] - visible.shape[0]
-            assert scan.z.shape == visible.shape
-            D = np.linalg.norm(scan.z[:, None, :] - visible[None, :, :], axis=2)
+            assert z.shape == visible.shape
+            D = np.linalg.norm(z[:, None, :] - visible[None, :, :], axis=2)
             rows, cols = linear_sum_assignment(D)
             assert D[rows, cols].max() < 1e-6
         # this seed does produce an excursion, so the gate is exercised
@@ -119,10 +140,10 @@ class TestMeasurements:
         )
         truth = generate_truth(cfg, np.random.default_rng(0))
         scans = generate_measurements(truth, cfg, np.random.default_rng(5))
-        sizes = np.array([s.z.shape[0] for s in scans])
+        sizes = np.array([z.shape[0] for z in scans])
         assert set(sizes.tolist()) == {0, 1}
         assert 0.2 < (sizes == 0).mean() < 0.6
-        pts = np.concatenate([s.z for s in scans if s.z.size])
+        pts = np.concatenate([z for z in scans if z.size])
         assert cfg.region.contains(pts).all()
 
     def test_exit_warning(self, caplog):
@@ -144,10 +165,10 @@ class TestMeasurements:
         cfg = ScenarioConfig(p_d=0.0, clutter_rate=50.0)
         truth = generate_truth(cfg, np.random.default_rng(2))
         scans = generate_measurements(truth, cfg, np.random.default_rng(4))
-        counts = np.array([s.z.shape[0] for s in scans])
+        counts = np.array([z.shape[0] for z in scans])
         # 100 draws of Poisson(50): mean within 5 sigma/sqrt(100)
         assert abs(counts.mean() - 50.0) < 3.5
-        inside = np.concatenate([s.z for s in scans])
+        inside = np.concatenate(scans)
         assert cfg.region.contains(inside).all()
 
     def test_seeded_measurements_reproduce_bytewise(self):
@@ -156,7 +177,7 @@ class TestMeasurements:
         a = generate_measurements(truth, cfg, np.random.default_rng(77))
         b = generate_measurements(truth, cfg, np.random.default_rng(77))
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.z, sb.z)
+            np.testing.assert_array_equal(sa, sb)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 57, 2000])
     def test_permutation_gather_is_row_shuffle(self, n):
@@ -175,16 +196,12 @@ class TestMeasurements:
         truth = generate_truth(cfg, np.random.default_rng(2))
         scans = generate_measurements(truth, cfg, np.random.default_rng(8))
         first_is_target = []
-        for t, scan in enumerate(scans):
+        for t, z in enumerate(scans):
             pos = truth.states_at(t)[:, :2]
-            d = np.abs(scan.z[0] - pos).sum(axis=1).min()
+            d = np.abs(z[0] - pos).sum(axis=1).min()
             first_is_target.append(d < 1.0)
         # with ~50 clutter and <=7 targets, leading slot is mostly clutter
         assert 0 < sum(first_is_target) / len(first_is_target) < 0.5
-
-    def test_scan_type_fields(self):
-        s = MeasurementScan(3, np.zeros((2, 2)))
-        assert s.time == 3 and s.z.shape == (2, 2)
 
 
 class TestBranchingOracle:
