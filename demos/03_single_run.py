@@ -20,13 +20,13 @@ scenario = ScenarioConfig()
 # Same streams as run 0 of the stock experiment: truth and measurement noise
 # drawn from independent children of the base seed.
 base = 1729
+# The truth is one (n_t, 4) array of states per scan.
 truth = generate_truth(
     scenario, np.random.default_rng(np.random.SeedSequence(base, spawn_key=(0,)))
 )
 scans = generate_measurements(
     truth, scenario, np.random.default_rng(np.random.SeedSequence(base, spawn_key=(1, 0)))
 )
-counts = truth.counts
 
 spawn = ZeroInflatedPoissonSpawn(0.01, 2.5, scenario.spawn_kernel())
 motion = scenario.motion_model()
@@ -45,20 +45,20 @@ print("scan  true  map  ospa_pos  hellinger  components")
 show = sorted({0, 5, 10, 14, 15, 16, 20, 25, 26, 40, 60, 75, 76, 80, 86, 90, 99})
 hits = 0
 stable_ospa = []
-for t, scan in enumerate(scans):
+for t, (scan, X) in enumerate(zip(scans, truth)):
     pred = predict_spawning(state, motion, spawn)
     state = update(pred, scan, sensor, reduction=reduction)
     n_map, est = extract_estimates(state)
-    X = truth.states_at(t)
+    n_true = X.shape[0]
     o_pos = ospa(est[:, :2], X[:, :2], 100.0)
-    h = hellinger(state.cardinality, ideal_cardinality(int(counts[t]), scenario.n_max))
-    hits += n_map == counts[t]
+    h = hellinger(state.cardinality, ideal_cardinality(n_true, scenario.n_max))
+    hits += n_map == n_true
     if 30 <= t <= 70:
         stable_ospa.append(o_pos)
     if t in show:
         mark = " <- spawn" if t in (15, 25) else (" <- deaths" if t in (76, 86) else "")
         print(
-            f"{t:<6d}{counts[t]:<6d}{n_map:<5d}{o_pos:8.2f}  {h:9.4f}  "
+            f"{t:<6d}{n_true:<6d}{n_map:<5d}{o_pos:8.2f}  {h:9.4f}  "
             f"{len(state.intensity):<4d}{mark}"
         )
 

@@ -58,6 +58,11 @@ class ExperimentConfig:
                 )
         if len(set(self.models)) != len(self.models):
             raise ConfigError("duplicate model names")
+        for name in (n for n in self.models if n != "birth"):
+            try:  # the spawning model's own range checks
+                self.spawn_model(name)
+            except InvalidModelError as exc:
+                raise ConfigError(f"{name} model: {exc}") from None
         if self.seed < 0:
             raise ConfigError(f"seed = {self.seed} must be nonnegative")
         for key in ("ospa_cutoff_pos", "ospa_cutoff_vel"):

@@ -52,7 +52,7 @@ def _initial_state(name: str, cfg: ExperimentConfig) -> FilterState:
             GaussianMixture.empty(4),
             CardinalityDistribution.delta(0, scenario.n_max),
         )
-    states = np.asarray(scenario.initial_states, dtype=float)
+    states = np.asarray(scenario.initial_states, dtype=float).reshape(-1, 4)
     n = states.shape[0]
     cov = np.diag([INIT_POS_STD**2, INIT_POS_STD**2, INIT_VEL_STD**2, INIT_VEL_STD**2])
     mix = GaussianMixture(np.ones(n), states, np.broadcast_to(cov, (n, 4, 4)).copy())
@@ -66,15 +66,13 @@ def _fmt(x: float) -> str:
 def run_one(cfg: ExperimentConfig, run_idx: int) -> list:
     """All CSV rows (no header) for one measurement-noise realization."""
     scenario = cfg.scenario
-    truth = generate_truth(scenario, _truth_rng(cfg.seed))
     # Truth per scan, shared by the measurements and every model.
-    states = list(truth)
+    states = generate_truth(scenario, _truth_rng(cfg.seed))
     scans = generate_measurements(states, scenario, _measurement_rng(cfg.seed, run_idx))
-    counts = truth.counts
     motion = scenario.motion_model()
     sensor = scenario.sensor_model()
     birth = scenario.birth_model()
-    ideals = [ideal_cardinality(int(counts[t]), scenario.n_max) for t in range(len(scans))]
+    ideals = [ideal_cardinality(X.shape[0], scenario.n_max) for X in states]
     rows = []
     for name in cfg.models:
         spawn = None if name == "birth" else cfg.spawn_model(name)
@@ -91,7 +89,7 @@ def run_one(cfg: ExperimentConfig, run_idx: int) -> list:
             o_pos = ospa(est[:, :2], X[:, :2], cfg.ospa_cutoff_pos)
             o_vel = ospa(est[:, 2:], X[:, 2:], cfg.ospa_cutoff_vel)
             rows.append(
-                f"{run_idx},{t},{name},{counts[t]},{n_map},"
+                f"{run_idx},{t},{name},{X.shape[0]},{n_map},"
                 f"{_fmt(o_pos)},{_fmt(o_vel)},{_fmt(h_pred)},{_fmt(h_upd)}"
             )
     return rows

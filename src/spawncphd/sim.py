@@ -11,13 +11,13 @@ clutter, driven by explicitly passed generators so runs reproduce exactly.
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cardinality import MAX_COUNT, CardinalityDistribution
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InvalidModelError
 from .filtering import BirthModel, MotionModel, Rect, SensorModel
 from .gaussian import GaussianMixture
 from .spawning import SpawnModel, SpawnSpatialModel
@@ -92,6 +92,19 @@ class ScenarioConfig:
         dt = self.dt  # accel_std^2 dt^4 / 4 is the largest process noise term when dt > 1
         if not (dt > 0.0 and np.isfinite(self.accel_std**2 * (dt * dt * dt * dt))):
             raise ConfigError(f"dt = {dt} must be positive, with accel_std^2 dt^4 finite")
+        try:
+            x0 = np.asarray(self.initial_states, dtype=float)
+            rows = x0.shape in {(0,), (len(self.initial_states), 4)} and np.isfinite(x0).all()
+        except (TypeError, ValueError):
+            rows = False
+        if not rows:
+            raise ConfigError(
+                f"initial_states = {self.initial_states!r}: need rows of four finite numbers"
+            )
+        try:  # the models' own range checks, p_s and p_d among them
+            self.motion_model(), self.sensor_model(), self.birth_model()
+        except InvalidModelError as exc:
+            raise ConfigError(str(exc)) from None
         self.schedule()
 
     def schedule(self) -> list:
@@ -151,73 +164,49 @@ class ScenarioConfig:
         )
 
 
-@dataclass
-class TruthTrack:
-    """One target's life: born at scan t_birth with states[i] at t_birth + i."""
-
-    parent: int | None
-    t_birth: int
-    states: np.ndarray
-
-    @property
-    def t_death(self) -> int:
-        return self.t_birth + self.states.shape[0] - 1
-
-    def alive(self, t: int) -> bool:
-        return self.t_birth <= t <= self.t_death
-
-
-@dataclass
-class GroundTruth:
-    tracks: list[TruthTrack] = field(default_factory=list)
-    n_scans: int = 0
-
-    @property
-    def counts(self) -> np.ndarray:
-        out = np.zeros(self.n_scans, dtype=int)
-        for trk in self.tracks:
-            out[trk.t_birth : trk.t_death + 1] += 1
-        return out
-
-    def states_at(self, t: int) -> np.ndarray:
-        alive = [trk.states[t - trk.t_birth] for trk in self.tracks if trk.alive(t)]
-        return np.stack(alive) if alive else np.empty((0, 4))
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        """Each scan's true states, in scan order."""
-        return (self.states_at(t) for t in range(self.n_scans))
-
-
-def _propagate(x0: np.ndarray, F: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty((n, 4))
-    out[0] = x0
-    for t in range(1, n):
-        out[t] = F @ out[t - 1]
-    return out
-
-
-def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:
-    """Draw the tracks of `cfg.schedule()`. Only daughter velocities consume rng."""
+def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each scan's true states: an (n_t, 4) array of the tracks of
+    `cfg.schedule()` alive at that scan, in schedule order. Only daughter
+    velocities consume rng, one pair per daughter in schedule order."""
     F = cfg.motion_model().F
-    tracks = [
-        TruthTrack(None, 0, _propagate(np.asarray(x0, float), F, cfg.n_scans))
-        for x0 in cfg.initial_states
-    ]
-    for parent, first, last in cfg.schedule()[len(tracks) :]:
-        px = tracks[parent].states[first - tracks[parent].t_birth]
-        vel = px[2:] + rng.normal(0.0, cfg.daughter_vel_std, size=2)
-        x0 = np.array([px[0], px[1], vel[0], vel[1]])
-        tracks.append(TruthTrack(parent, first, _propagate(x0, F, last - first + 1)))
+    schedule = cfg.schedule()
+    x0 = np.asarray(cfg.initial_states, float).reshape(-1, 4)
+    kicks = {
+        k: rng.normal(0.0, cfg.daughter_vel_std, size=2)
+        for k, (parent, _, _) in enumerate(schedule)
+        if parent is not None
+    }
+    born: dict = {}
+    for k, (_, first, _) in enumerate(schedule):
+        born.setdefault(first, []).append(k)
+    live: dict = {}  # track -> its state at the current scan
+    exits: dict = {}  # track -> its first scan outside the region
+    scans = []
+    for t in range(cfg.n_scans):
+        live = {k: F @ x for k, x in live.items() if t <= schedule[k][2]}
+        # A parent precedes its daughters in the schedule, so it is live here.
+        for k in born.get(t, ()):
+            parent = schedule[k][0]
+            if parent is None:
+                live[k] = x0[k]
+            else:
+                px = live[parent]
+                vel = px[2:] + kicks[k]
+                live[k] = np.array([px[0], px[1], vel[0], vel[1]])
+        tracks = sorted(live)
+        X = np.array([live[k] for k in tracks]).reshape(-1, 4)
+        for k, inside in zip(tracks, cfg.region.contains(X[:, :2])):
+            if not inside:
+                exits.setdefault(k, t)
+        scans.append(X)
     # Tracks are kept alive outside the region, but the sensor will not see
     # them there, so flag excursions: they usually indicate a config problem.
-    inside = [cfg.region.contains(trk.states[:, :2]) for trk in tracks]
-    exits = [trk.t_birth + int(np.argmin(i)) for trk, i in zip(tracks, inside) if not i.all()]
     if exits:
         logger.warning(
             "%d of %d truth tracks leave the surveillance region (first exit at scan %d)",
-            len(exits), len(tracks), min(exits),
+            len(exits), len(schedule), min(exits.values()),
         )
-    return GroundTruth(tracks, cfg.n_scans)
+    return scans
 
 
 def generate_measurements(

@@ -13,11 +13,11 @@ import pytest
 
 from spawncphd import experiment
 from spawncphd.cardinality import _binomial_table, _predict_tables
-from spawncphd.config import _SCHEMA, CSV_HEADER, ExperimentConfig, load_config
+from spawncphd.config import _SCHEMA, CSV_HEADER, MODEL_NAMES, ExperimentConfig, load_config
 from spawncphd.errors import ConfigError
 from spawncphd.experiment import run_experiment, run_one, summarize
 from spawncphd.gaussian import ReductionConfig
-from spawncphd.sim import MAX_CLUTTER, GroundTruth, ScenarioConfig
+from spawncphd.sim import MAX_CLUTTER, ScenarioConfig
 from spawncphd.spawning import bell_coefficients
 
 EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
@@ -217,6 +217,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^n_max = {n_max - 1}: the scripted truth holds {where}$"):
             ExperimentConfig(scenario=scenario)
 
+    @pytest.mark.parametrize(
+        "build, kwargs, message",
+        [
+            (ScenarioConfig, dict(initial_states=((1.0, 2.0),)), r"initial_states = \(\(1\.0, 2\.0\),\)"),
+            (ScenarioConfig, dict(initial_states=((1.0, 2.0, 3.0, 4.0, 5.0),)), r"initial_states = "),
+            (ScenarioConfig, dict(initial_states=((np.inf, 0.0, 0.0, 0.0),)), r"initial_states = "),
+            (ScenarioConfig, dict(p_d=1.5), r"detection probability = 1\.5 outside \[0, 1\]"),
+            (ScenarioConfig, dict(p_s=-0.1), r"survival probability = -0\.1 outside \[0, 1\]"),
+            (ExperimentConfig, dict(bernoulli_prob=2.0), r"bernoulli model: spawn probability = 2\.0 outside"),
+            (ExperimentConfig, dict(zip_rate=-1.0), r"zip model: spawn rate = -1\.0 must be a finite"),
+        ],
+        ids=["two columns", "five columns", "inf", "p_d", "p_s", "bernoulli_prob", "zip_rate"],
+    )
+    def test_value_that_cannot_run_refused_when_built(self, build, kwargs, message):
+        # Built through the Python API, past the INI casters: refused by the
+        # constructor, not mid-run by the model it feeds.
+        with pytest.raises(ConfigError, match=rf"^{message}"):
+            build(**kwargs)
+
     def test_unknown_model_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[experiment]\nmodels = zip, teleport\n")
@@ -250,25 +269,33 @@ class TestRunOne:
         assert {r.split(",")[2] for r in both[30:]} == {"birth"}
 
     def test_truth_per_scan_is_formed_once(self, monkeypatch):
-        # Every model reads the same per-scan truth, formed once per scan and
+        # Every model reads the same per-scan truth, drawn once per run and
         # handed to the scan generator and the metrics alike, however many
         # models run. Two models give the rows each gives alone.
         alone = [row for m in ("zip", "birth") for row in run_one(small_config(models=(m,)), 1)]
-        calls = {"states_at": 0, "ideal": 0}
-        states_at, ideal = GroundTruth.states_at, experiment.ideal_cardinality
+        calls = {"truth": 0, "ideal": 0}
+        truth, ideal = experiment.generate_truth, experiment.ideal_cardinality
 
-        def counting_states_at(truth, t):
-            calls["states_at"] += 1
-            return states_at(truth, t)
+        def counting_truth(scenario, rng):
+            calls["truth"] += 1
+            return truth(scenario, rng)
 
         def counting_ideal(n, n_max):
             calls["ideal"] += 1
             return ideal(n, n_max)
 
-        monkeypatch.setattr(GroundTruth, "states_at", counting_states_at)
+        monkeypatch.setattr(experiment, "generate_truth", counting_truth)
         monkeypatch.setattr(experiment, "ideal_cardinality", counting_ideal)
         assert run_one(small_config(models=("zip", "birth")), 1) == alone
-        assert calls == {"states_at": 30, "ideal": 30}
+        assert calls == {"truth": 1, "ideal": 30}
+
+    def test_zero_target_start_runs(self):
+        # No initial targets and no broods: every model starts from an empty
+        # prior and the truth column reads 0 throughout.
+        scenario = ScenarioConfig(n_scans=30, initial_states=(), spawn_events=())
+        rows = run_one(small_config(scenario=scenario, models=MODEL_NAMES), 0)
+        assert len(rows) == 30 * len(MODEL_NAMES)
+        assert {row.split(",")[3] for row in rows} == {"0"}
 
     def test_stock_scene_in_clutter_500(self):
         # The one global likelihood scale left u_c^(M-j) to underflow the

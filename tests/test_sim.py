@@ -3,6 +3,8 @@ the Monte-Carlo branching oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spawncphd.cardinality import CardinalityDistribution, predict_cardinality
@@ -31,26 +33,25 @@ EXPECTED_COUNTS = [2] * 15 + [4] * 10 + [7] * 51 + [5] * 10 + [2] * 14
 class TestTruth:
     def test_default_count_trajectory(self):
         truth = generate_truth(ScenarioConfig(), np.random.default_rng(1))
-        np.testing.assert_array_equal(truth.counts, EXPECTED_COUNTS)
+        assert [X.shape for X in truth] == [(n, 4) for n in EXPECTED_COUNTS]
 
     def test_parents_move_deterministically(self):
         truth = generate_truth(ScenarioConfig(), np.random.default_rng(1))
-        p0 = truth.tracks[0]
-        np.testing.assert_array_equal(p0.states[0], [-600.0, -600.0, 14.0, 11.0])
+        p0 = np.stack([X[0] for X in truth])
+        np.testing.assert_array_equal(p0[0], [-600.0, -600.0, 14.0, 11.0])
         # constant velocity: position advances linearly, velocity fixed
-        np.testing.assert_allclose(p0.states[40, :2], [-600 + 14 * 40, -600 + 11 * 40], rtol=1e-12)
-        np.testing.assert_array_equal(p0.states[40, 2:], [14.0, 11.0])
+        np.testing.assert_allclose(p0[40, :2], [-600 + 14 * 40, -600 + 11 * 40], rtol=1e-12)
+        np.testing.assert_array_equal(p0[40, 2:], [14.0, 11.0])
 
     def test_daughters_start_at_parent_position(self):
-        cfg = ScenarioConfig()
-        truth = generate_truth(cfg, np.random.default_rng(5))
-        parent = truth.tracks[0]
-        daughters = [trk for trk in truth.tracks if trk.parent == 0]
-        assert len(daughters) == 2
+        # scan 15 holds both parents, then target 0's two daughters
+        truth = generate_truth(ScenarioConfig(), np.random.default_rng(5))
+        assert truth[14].shape[0] == 2
+        parent, daughters = truth[15][0], truth[15][2:]
+        assert daughters.shape[0] == 2
         for d in daughters:
-            assert d.t_birth == 15
-            np.testing.assert_array_equal(d.states[0, :2], parent.states[15, :2])
-            assert not np.array_equal(d.states[0, 2:], parent.states[15, 2:])
+            np.testing.assert_array_equal(d[:2], parent[:2])
+            assert not np.array_equal(d[2:], parent[2:])
 
     def test_daughter_velocity_dispersion(self):
         # velocities scatter around the parent's with the configured std
@@ -58,22 +59,17 @@ class TestTruth:
             spawn_events=(SpawnEvent(time=10, parent=0, count=400, lifespan=5),)
         )
         truth = generate_truth(cfg, np.random.default_rng(9))
-        parent_v = truth.tracks[0].states[10, 2:]
-        dv = np.stack([t.states[0, 2:] - parent_v for t in truth.tracks if t.parent == 0])
+        dv = truth[10][2:, 2:] - truth[10][0, 2:]
+        assert dv.shape == (400, 2)
         assert abs(dv.mean()) < 2.0
         assert dv.std() == pytest.approx(cfg.daughter_vel_std, rel=0.15)
 
     def test_same_seed_reproduces(self):
         a = generate_truth(ScenarioConfig(), np.random.default_rng(33))
         b = generate_truth(ScenarioConfig(), np.random.default_rng(33))
-        for ta, tb in zip(a.tracks, b.tracks):
-            np.testing.assert_array_equal(ta.states, tb.states)
-
-    def test_states_at_stacks_alive_tracks(self):
-        truth = generate_truth(ScenarioConfig(), np.random.default_rng(1))
-        assert truth.states_at(0).shape == (2, 4)
-        assert truth.states_at(30).shape == (7, 4)
-        assert truth.states_at(99).shape == (2, 4)
+        assert len(a) == len(b) == 100
+        for xa, xb in zip(a, b):
+            np.testing.assert_array_equal(xa, xb)
 
     def test_event_outside_parent_life_rejected(self):
         with pytest.raises(ConfigError, match="^n_scans = 100: no scan left for the brood at scan 150$"):
@@ -103,7 +99,64 @@ class TestTruth:
         )
         assert cfg.schedule() == [(None, 0, 49), (None, 0, 49), (0, 15, 49), (0, 15, 49), (2, 20, 23)]
         truth = generate_truth(cfg, np.random.default_rng(0))
-        assert [(t.parent, t.t_birth, t.t_death) for t in truth.tracks] == cfg.schedule()
+        assert [X.shape[0] for X in truth] == [2] * 15 + [4] * 5 + [5] * 4 + [4] * 26
+        # the brood of track 2 starts at its parent's position, the last row
+        np.testing.assert_array_equal(truth[20][4, :2], truth[20][2, :2])
+
+
+finite = st.floats(-1000.0, 1000.0, allow_nan=False)
+
+
+@st.composite
+def scenes(draw):
+    """Random initial targets and broods, each event within the run and on a
+    track listed before it; the parent may still be dead at the event."""
+    n_scans = draw(st.integers(1, 40))
+    initial = draw(st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=3))
+    tracks = len(initial)
+    events = []
+    for _ in range(draw(st.integers(1, 4))):
+        time, count = draw(st.integers(0, n_scans - 1)), draw(st.integers(1, 3))
+        parent = draw(st.integers(0, tracks - 1))
+        events.append(SpawnEvent(time, parent, count, draw(st.integers(0, 20))))
+        tracks += count
+    return dict(
+        n_scans=n_scans,
+        dt=draw(st.sampled_from([1.0, 0.37, 2.0])),
+        initial_states=tuple(initial),
+        spawn_events=tuple(events),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes(), st.integers(0, 2**32 - 1))
+def test_truth_follows_the_schedule(scene, seed):
+    # Per-scan arrays against `schedule()`: live counts, daughters born at
+    # their parent's position, each step F @ x, and equal seeds, equal arrays.
+    try:
+        cfg = ScenarioConfig(**scene)
+    except ConfigError:
+        assume(False)
+    schedule = cfg.schedule()
+    truth = generate_truth(cfg, np.random.default_rng(seed))
+
+    def row(k, t):  # track k's row at scan t: the live tracks before it
+        return sum(first <= t <= last for _, first, last in schedule[:k])
+
+    assert [len(X) for X in truth] == [row(len(schedule), t) for t in range(cfg.n_scans)]
+    F = cfg.motion_model().F
+    for k, (parent, first, last) in enumerate(schedule):
+        x = truth[first][row(k, first)]
+        if parent is None:
+            np.testing.assert_array_equal(x, cfg.initial_states[k])
+        else:
+            np.testing.assert_array_equal(x[:2], truth[first][row(parent, first), :2])
+        for t in range(first, last):
+            step = truth[t + 1][row(k, t + 1)]
+            np.testing.assert_array_equal(step, F @ x)
+            x = step
+    again = generate_truth(cfg, np.random.default_rng(seed))
+    assert all(np.array_equal(a, b) for a, b in zip(truth, again, strict=True))
 
 
 class TestMeasurements:
@@ -118,7 +171,7 @@ class TestMeasurements:
 
         left_region = 0
         for t, z in enumerate(scans):
-            pos = truth.states_at(t)[:, :2]
+            pos = truth[t][:, :2]
             visible = pos[cfg.region.contains(pos)]
             left_region += pos.shape[0] - visible.shape[0]
             assert z.shape == visible.shape
@@ -197,7 +250,7 @@ class TestMeasurements:
         scans = generate_measurements(truth, cfg, np.random.default_rng(8))
         first_is_target = []
         for t, z in enumerate(scans):
-            pos = truth.states_at(t)[:, :2]
+            pos = truth[t][:, :2]
             d = np.abs(z[0] - pos).sum(axis=1).min()
             first_is_target.append(d < 1.0)
         # with ~50 clutter and <=7 targets, leading slot is mostly clutter
